@@ -1,12 +1,12 @@
-// Benchmarks: one per paper artifact (see DESIGN.md §4 for the experiment
-// index). Each benchmark exercises the code path that regenerates the
+// Benchmarks: one per paper artifact (`go run ./cmd/wexp -list` prints the
+// experiment index). Each benchmark exercises the code path that regenerates the
 // corresponding table or figure and reports the headline quantity (usually
 // synchronization rounds) as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
 // doubles as a quick reproduction pass. The full sweeps with statistics
-// live in cmd/wexp (see EXPERIMENTS.md).
+// live in cmd/wexp.
 package wsync
 
 import (

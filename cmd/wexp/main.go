@@ -1,5 +1,5 @@
 // Command wexp regenerates the paper's experiment tables (every figure and
-// theorem; see DESIGN.md §4 for the index).
+// theorem; -list prints the index).
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	wexp -trials 50 -seed 7      # more repetitions / different seeds
 //	wexp -parallel 4             # trial-runner worker count (0 = one per CPU)
 //	wexp -run X10a -nobatch      # per-node dispatch (benchdiff baseline for the batch-stepping speedup)
-//	wexp -format markdown        # markdown tables (EXPERIMENTS.md bodies)
+//	wexp -format markdown        # markdown tables
 //	wexp -format csv -out dir/   # one CSV file per experiment
 //	wexp -json                   # one machine-readable report on stdout
 //	wexp -list                   # list experiment ids and exit

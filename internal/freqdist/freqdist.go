@@ -2,6 +2,7 @@ package freqdist
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wsync/internal/rng"
 )
@@ -202,13 +203,7 @@ func CeilLog2(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	l := 0
-	v := 1
-	for v < n {
-		v <<= 1
-		l++
-	}
-	return l
+	return bits.Len(uint(n - 1))
 }
 
 // NextPow2 returns the smallest power of two >= n, and 1 for n <= 1.

@@ -217,6 +217,44 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
+// ceilLog2Loop is the shift loop CeilLog2 used to be, kept as its oracle.
+// It never terminates for n > 1<<62.
+func ceilLog2Loop(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	l := 0
+	v := 1
+	for v < n {
+		v <<= 1
+		l++
+	}
+	return l
+}
+
+// TestCeilLog2MatchesLoop checks CeilLog2 against the shift-loop oracle on
+// [-2, 1<<20] and near 1<<62, the largest power of two an int holds, and
+// checks the values above it, where the oracle cannot run.
+func TestCeilLog2MatchesLoop(t *testing.T) {
+	check := func(n int) {
+		if got, want := CeilLog2(n), ceilLog2Loop(n); got != want {
+			t.Fatalf("CeilLog2(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for n := -2; n <= 1<<20; n++ {
+		check(n)
+	}
+	for d := 0; d <= 64; d++ {
+		check(1<<62 - d)
+		check(1<<61 + d)
+	}
+	for _, n := range []int{1<<62 + 1, 1<<62 + 1<<61, math.MaxInt} {
+		if got := CeilLog2(n); got != 63 {
+			t.Errorf("CeilLog2(%d) = %d, want 63", n, got)
+		}
+	}
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024}
 	for n, want := range cases {

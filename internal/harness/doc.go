@@ -1,9 +1,9 @@
 // Package harness defines and runs the repository's experiments: one per
-// paper artifact (every figure and theorem of the evaluation; see
-// DESIGN.md §4 for the index). Each experiment produces a Table whose rows
-// compare measured behavior against the paper's bound, and the cmd/wexp
-// tool renders them into EXPERIMENTS.md and the wsync-bench/v1 JSON
-// report (documented in docs/BENCH_FORMAT.md).
+// paper artifact (every figure and theorem of the evaluation; `wexp -list`
+// prints the index). Each experiment produces a Table whose rows compare
+// measured behavior against the paper's bound, and the cmd/wexp tool
+// renders them as text, markdown or CSV tables and as the wsync-bench/v1
+// JSON report (documented in docs/BENCH_FORMAT.md).
 //
 // Experiments run at one of three grid tiers selected by Options: Quick
 // shrinks every sweep to its smallest meaningful grid (CI smoke tests),

@@ -27,5 +27,5 @@
 // with lg N+2 epochs per super-epoch would give a total of Θ(t'·log⁴N),
 // contradicting Theorem 18's O(t'·log³N). We default to s(k) =
 // CEpoch·2^k·lg²N, which makes totals match the theorem; EpochLogPower
-// restores the literal Figure 2 exponent if desired (see DESIGN.md).
+// restores the literal Figure 2 exponent if desired.
 package samaritan

@@ -43,8 +43,8 @@ type Params struct {
 	AblationNoHelp bool
 }
 
-// Defaults for the Θ-constants (see EXPERIMENTS.md for how they were
-// chosen).
+// Defaults for the Θ-constants. The Theorem 18 experiments (T18a, T18b)
+// measure the protocol at these values.
 const (
 	DefaultCEpoch         = 8
 	DefaultEpochLogPower  = 2
@@ -172,9 +172,10 @@ func (p Params) FallbackEpochLen() uint64 {
 // OptimisticRounds returns the total length of all lg F super-epochs — the
 // point at which a node enters the fallback.
 func (p Params) OptimisticRounds() uint64 {
+	s := newSchedule(p.withDefaults())
 	total := uint64(0)
-	for k := 1; k <= p.LgF(); k++ {
-		total += uint64(p.EpochsPerSuper()) * p.EpochLen(k)
+	for k := 1; k <= s.lgF; k++ {
+		total += uint64(s.epochsPerSuper) * s.epochLen[k]
 	}
 	return total
 }
@@ -192,31 +193,75 @@ type ScheduleRow struct {
 
 // Schedule reproduces the Figure 2 structure as a table.
 func (p Params) Schedule() []ScheduleRow {
-	q := p.withDefaults()
-	rows := make([]ScheduleRow, 0, q.LgF()*q.EpochsPerSuper())
-	for k := 1; k <= q.LgF(); k++ {
-		narrow := 1 << uint(k)
-		if narrow > q.F {
-			narrow = q.F
-		}
-		for e := 1; e <= q.EpochsPerSuper(); e++ {
+	s := newSchedule(p.withDefaults())
+	rows := make([]ScheduleRow, 0, s.lgF*s.epochsPerSuper)
+	for k := 1; k <= s.lgF; k++ {
+		for e := 1; e <= s.epochsPerSuper; e++ {
 			rows = append(rows, ScheduleRow{
 				Super:      k,
 				Epoch:      e,
-				Length:     q.EpochLen(k),
-				Prob:       q.BroadcastProb(e),
-				NarrowBand: narrow,
-				Special:    e > q.LgN(),
+				Length:     s.epochLen[k],
+				Prob:       s.prob[e],
+				NarrowBand: s.narrow[k].Hi,
+				Special:    e > s.lgN,
 			})
 		}
 	}
 	return rows
 }
 
+// schedule holds the Figure 2 constants and frequency distributions the
+// round loop reads, derived once per run from defaulted Params; an arena's
+// slots share one. Each field equals the Params method it caches, bit for
+// bit. Tables indexed by super-epoch k or epoch e leave index 0 unused.
+type schedule struct {
+	lgN            int
+	lgF            int
+	epochsPerSuper int       // lg N + 2
+	fallbackLen    uint64    // FallbackEpochLen
+	epochLen       []uint64  // s(k) for k in 1..lgF
+	threshold      []uint32  // SuccessThreshold(k) for k in 1..lgF
+	prob           []float64 // BroadcastProb(e) for e in 1..lgN+2
+	// narrow[k] is the uniform distribution over [1..min(2^k, F)].
+	narrow  []freqdist.Uniform
+	wide    freqdist.Uniform
+	special freqdist.Special
+	p       Params // defaulted
+}
+
+// newSchedule derives the schedule from q, which must already carry its
+// defaults. Every value comes from the Params method it caches, so the
+// formulas live in one place.
+func newSchedule(q Params) *schedule {
+	lgN, lgF := q.LgN(), q.LgF()
+	s := &schedule{
+		lgN:            lgN,
+		lgF:            lgF,
+		epochsPerSuper: q.EpochsPerSuper(),
+		fallbackLen:    q.FallbackEpochLen(),
+		epochLen:       make([]uint64, lgF+1),
+		threshold:      make([]uint32, lgF+1),
+		prob:           make([]float64, lgN+3),
+		narrow:         make([]freqdist.Uniform, lgF+1),
+		wide:           freqdist.NewUniform(1, q.F),
+		special:        freqdist.NewSpecial(q.F),
+		p:              q,
+	}
+	for k := 1; k <= lgF; k++ {
+		s.epochLen[k] = q.EpochLen(k)
+		s.threshold[k] = q.SuccessThreshold(k)
+		s.narrow[k] = freqdist.NewUniform(1, min(1<<uint(k), q.F))
+	}
+	for e := 1; e <= lgN+2; e++ {
+		s.prob[e] = q.BroadcastProb(e)
+	}
+	return s
+}
+
 // Node is one Good Samaritan Protocol participant. It implements
 // sim.Agent, sim.BroadcastProber and sim.LeaderReporter.
 type Node struct {
-	p Params
+	s *schedule
 	r *rng.Rand
 
 	uid  uint64
@@ -228,11 +273,6 @@ type Node struct {
 	super      int
 	epoch      int
 	epochRound uint64
-
-	// narrow[k-1] is the uniform distribution over [1..min(2^k, F)].
-	narrow  []freqdist.Uniform
-	wide    freqdist.Uniform
-	special freqdist.Special
 
 	// thisSpecial marks the current round as a special round; thisListen
 	// marks that the node is listening this round (needed for samaritan
@@ -266,27 +306,16 @@ func New(p Params, r *rng.Rand) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	n := &Node{
-		p:       p,
+	s := newSchedule(p.withDefaults())
+	return &Node{
+		s:       s,
 		r:       r,
-		uid:     core.NewUID(r, p.N),
+		uid:     core.NewUID(r, s.p.N),
 		role:    core.RoleContender,
 		super:   1,
 		epoch:   1,
-		wide:    freqdist.NewUniform(1, p.F),
-		special: freqdist.NewSpecial(p.F),
 		tallies: make(map[uint64]uint32),
-	}
-	n.narrow = make([]freqdist.Uniform, p.LgF())
-	for k := 1; k <= p.LgF(); k++ {
-		hi := 1 << uint(k)
-		if hi > p.F {
-			hi = p.F
-		}
-		n.narrow[k-1] = freqdist.NewUniform(1, hi)
-	}
-	return n, nil
+	}, nil
 }
 
 // MustNew is New for static parameters; it panics on error.
@@ -299,16 +328,15 @@ func MustNew(p Params, r *rng.Rand) *Node {
 }
 
 // Arena pools Node construction for one engine run: count slots in one
-// contiguous slab, the narrow-band distribution table (a pure function of
-// the parameters) shared across all slots, and each slot's samaritan tally
-// map preallocated once at build. NewAgent draws exactly what New draws
-// from the node's rng stream, so arena-built runs are bit-identical to
-// MustNew-built runs; slot i is only ever touched by node i. Arena-built
-// nodes form one batch cohort (the arena pointer is the cohort key).
+// contiguous slab, one schedule (a pure function of the parameters) shared
+// across all slots, and each slot's samaritan tally map preallocated once
+// at build. NewAgent draws exactly what New draws from the node's rng
+// stream, so arena-built runs are bit-identical to MustNew-built runs;
+// slot i is only ever touched by node i. Arena-built nodes form one batch
+// cohort (the arena pointer is the cohort key).
 type Arena struct {
-	p      Params
-	narrow []freqdist.Uniform
-	nodes  []Node
+	s     *schedule
+	nodes []Node
 }
 
 // NewArena returns an arena with count slots for parameters p. It returns
@@ -317,19 +345,7 @@ func NewArena(p Params, count int) (*Arena, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	a := &Arena{
-		p:      p,
-		narrow: make([]freqdist.Uniform, p.LgF()),
-		nodes:  make([]Node, count),
-	}
-	for k := 1; k <= p.LgF(); k++ {
-		hi := 1 << uint(k)
-		if hi > p.F {
-			hi = p.F
-		}
-		a.narrow[k-1] = freqdist.NewUniform(1, hi)
-	}
+	a := &Arena{s: newSchedule(p.withDefaults()), nodes: make([]Node, count)}
 	for i := range a.nodes {
 		a.nodes[i].tallies = make(map[uint64]uint32)
 	}
@@ -353,15 +369,12 @@ func (a *Arena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agen
 	t := nd.tallies
 	clear(t)
 	*nd = Node{
-		p:       a.p,
+		s:       a.s,
 		r:       r,
-		uid:     core.NewUID(r, a.p.N),
+		uid:     core.NewUID(r, a.s.p.N),
 		role:    core.RoleContender,
 		super:   1,
 		epoch:   1,
-		narrow:  a.narrow,
-		wide:    freqdist.NewUniform(1, a.p.F),
-		special: freqdist.NewSpecial(a.p.F),
 		tallies: t,
 		arena:   a,
 	}
@@ -392,13 +405,13 @@ func (n *Node) timestamp() msg.Timestamp {
 func (n *Node) BroadcastProb() float64 {
 	switch n.role {
 	case core.RoleContender, core.RoleSamaritan:
-		return n.p.BroadcastProb(n.epoch)
+		return n.s.prob[n.epoch]
 	case core.RoleFallback:
 		// Half the rounds are Trapdoor rounds with prob p_e, half are
 		// special rounds with prob 1/2.
-		return 0.5*n.p.BroadcastProb(n.fbEpoch) + 0.25
+		return 0.5*n.s.prob[n.fbEpoch] + 0.25
 	case core.RoleLeader:
-		return n.p.LeaderTxProb
+		return n.s.p.LeaderTxProb
 	default:
 		return 0
 	}
@@ -408,15 +421,16 @@ func (n *Node) BroadcastProb() float64 {
 // by one round, handling epoch and super-epoch boundaries. It returns false
 // when the optimistic portion is exhausted (the node enters fallback).
 func (n *Node) advanceOptimistic() bool {
-	for n.epochRound >= n.p.EpochLen(n.super) {
+	s := n.s
+	for n.epochRound >= s.epochLen[n.super] {
 		n.epochRound = 0
 		n.epoch++
-		if n.epoch > n.p.EpochsPerSuper() {
+		if n.epoch > s.epochsPerSuper {
 			n.epoch = 1
 			n.super++
 			// Tallies pertain to one super-epoch only.
 			clear(n.tallies)
-			if n.super > n.p.LgF() {
+			if n.super > s.lgF {
 				n.role = core.RoleFallback
 				n.fbEpoch = 1
 				n.fbEpochRound = 0
@@ -484,18 +498,19 @@ func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 // optimisticStep implements the Figure 2 round behavior for contenders
 // and samaritans.
 func (n *Node) optimisticStep(m *msg.Message) (int32, bool) {
-	lgN := n.p.LgN()
-	kDist := n.narrow[n.super-1]
+	s := n.s
+	kDist := s.narrow[n.super]
+	prob := s.prob[n.epoch]
 
-	if n.epoch <= lgN {
+	if n.epoch <= s.lgN {
 		// Regular epoch: half narrow band, half full band.
 		var f int
 		if n.r.Bool() {
 			f = kDist.Sample(n.r)
 		} else {
-			f = n.wide.Sample(n.r)
+			f = s.wide.Sample(n.r)
 		}
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		if n.r.Bernoulli(prob) {
 			*m = n.protocolMessage()
 			return int32(f), true
 		}
@@ -505,14 +520,14 @@ func (n *Node) optimisticStep(m *msg.Message) (int32, bool) {
 	// Last two epochs: half normal narrow-band rounds, half special rounds.
 	if n.r.Bool() {
 		f := kDist.Sample(n.r)
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		if n.r.Bernoulli(prob) {
 			*m = n.protocolMessage()
 			return int32(f), true
 		}
 		return int32(f), false
 	}
 	n.thisSpecial = true
-	f := n.special.Sample(n.r)
+	f := s.special.Sample(n.r)
 	if n.r.Bool() {
 		*m = n.protocolMessage()
 		m.Special = true
@@ -564,11 +579,12 @@ func (n *Node) topReports() []msg.Report {
 // decides between a Trapdoor round (full-band competition, probability
 // ramp, timestamps honored) and a Good Samaritan special round.
 func (n *Node) fallbackStep(m *msg.Message) (int32, bool) {
+	s := n.s
 	// Epoch bookkeeping advances every round.
-	for n.fbEpochRound >= n.p.FallbackEpochLen() {
+	for n.fbEpochRound >= s.fallbackLen {
 		n.fbEpochRound = 0
 		n.fbEpoch++
-		if n.fbEpoch > n.p.LgN() {
+		if n.fbEpoch > s.lgN {
 			n.becomeLeader()
 			return n.leaderStep(m)
 		}
@@ -577,8 +593,8 @@ func (n *Node) fallbackStep(m *msg.Message) (int32, bool) {
 
 	if n.r.Bool() {
 		// Trapdoor round on the full band.
-		f := n.wide.Sample(n.r)
-		if n.r.Bernoulli(n.p.BroadcastProb(n.fbEpoch)) {
+		f := s.wide.Sample(n.r)
+		if n.r.Bernoulli(s.prob[n.fbEpoch]) {
 			*m = msg.Message{Kind: msg.KindContender, TS: n.timestamp(), Fallback: true}
 			return int32(f), true
 		}
@@ -586,7 +602,7 @@ func (n *Node) fallbackStep(m *msg.Message) (int32, bool) {
 	}
 	// Special round.
 	n.thisSpecial = true
-	f := n.special.Sample(n.r)
+	f := s.special.Sample(n.r)
 	if n.r.Bool() {
 		*m = msg.Message{Kind: msg.KindContender, TS: n.timestamp(), Fallback: true, Special: true}
 		return int32(f), true
@@ -605,8 +621,8 @@ func (n *Node) becomeLeader() {
 
 // leaderStep announces the numbering on the special-round distribution.
 func (n *Node) leaderStep(m *msg.Message) (int32, bool) {
-	f := int32(n.special.Sample(n.r))
-	if n.r.Bernoulli(n.p.LeaderTxProb) {
+	f := int32(n.s.special.Sample(n.r))
+	if n.r.Bernoulli(n.s.p.LeaderTxProb) {
 		*m = msg.Message{
 			Kind:   msg.KindLeader,
 			TS:     n.timestamp(),
@@ -623,9 +639,9 @@ func (n *Node) leaderStep(m *msg.Message) (int32, bool) {
 // enough on undisrupted frequencies.
 func (n *Node) passiveStep() int32 {
 	if n.r.Bool() {
-		return int32(n.wide.Sample(n.r))
+		return int32(n.s.wide.Sample(n.r))
 	}
-	return int32(n.special.Sample(n.r))
+	return int32(n.s.special.Sample(n.r))
 }
 
 // Deliver implements sim.Agent.
@@ -669,7 +685,7 @@ func (n *Node) deliverContender(m msg.Message) {
 // part of epoch lgN+1, (b) it is not special for either party, and (c) both
 // were awakened in the same round.
 func (n *Node) maybeRecordSuccess(m msg.Message) {
-	critical := n.p.LgN() + 1
+	critical := n.s.lgN + 1
 	if n.epoch != critical || int(m.Epoch) != critical {
 		return
 	}
@@ -688,11 +704,12 @@ func (n *Node) deliverSamaritan(m msg.Message) {
 		// Check the reports: have we succeeded often enough this
 		// super-epoch? (Condition (c) keeps counts aligned: only
 		// same-activation samaritans record us.)
-		if n.p.AblationNoHelp || int(m.Super) != n.super {
+		if n.s.p.AblationNoHelp || int(m.Super) != n.super {
 			return
 		}
+		th := n.s.threshold[n.super]
 		for _, rep := range m.Reports {
-			if rep.UID == n.uid && rep.Count >= n.p.SuccessThreshold(n.super) {
+			if rep.UID == n.uid && rep.Count >= th {
 				n.becomeLeader()
 				return
 			}

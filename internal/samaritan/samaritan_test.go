@@ -446,7 +446,7 @@ func TestLeaderAlwaysEmerges(t *testing.T) {
 
 // TestLiteralFigure2EpochLength runs the protocol with EpochLogPower=3 —
 // Figure 2 exactly as printed — and verifies the good case still works
-// (total becomes Θ(t'·log⁴N); see DESIGN.md on the paper's internal
+// (total becomes Θ(t'·log⁴N); see the package doc on the paper's internal
 // inconsistency).
 func TestLiteralFigure2EpochLength(t *testing.T) {
 	if testing.Short() {

@@ -49,9 +49,9 @@ type Params struct {
 }
 
 // Defaults for the Θ-constants. They are tuned so that agreement holds with
-// high probability across the experiment grid in EXPERIMENTS.md; the final
-// epoch in particular needs enough rounds for the eventual winner to knock
-// out every runner-up even when only F'−t = 1 channel is usable.
+// high probability across the Theorem 10 experiment grids (T10a–T10c); the
+// final epoch in particular needs enough rounds for the eventual winner to
+// knock out every runner-up even when only F'−t = 1 channel is usable.
 const (
 	DefaultCEpoch = 6
 	DefaultCFinal = 6
@@ -160,8 +160,8 @@ func (p Params) EffectiveLeaderTimeout() uint64 {
 // epoch lengths. Theorem 10's bound is this plus the leader's announcement
 // time.
 func (p Params) TotalRounds() uint64 {
-	lg := p.LgN()
-	return uint64(lg-1)*p.EpochLen() + p.FinalEpochLen()
+	s := newSchedule(p.withDefaults())
+	return uint64(s.lgN-1)*s.epochLen + s.finalLen
 }
 
 // ScheduleRow describes one epoch for schedule tables (Figure 1).
@@ -173,25 +173,61 @@ type ScheduleRow struct {
 
 // Schedule returns the full epoch table, reproducing Figure 1.
 func (p Params) Schedule() []ScheduleRow {
-	lg := p.LgN()
-	rows := make([]ScheduleRow, lg)
-	for e := 1; e <= lg; e++ {
-		length := p.EpochLen()
-		if e == lg {
-			length = p.FinalEpochLen()
-		}
-		rows[e-1] = ScheduleRow{Epoch: e, Length: length, Prob: p.BroadcastProb(e)}
+	s := newSchedule(p.withDefaults())
+	rows := make([]ScheduleRow, s.lgN)
+	for e := 1; e <= s.lgN; e++ {
+		rows[e-1] = ScheduleRow{Epoch: e, Length: s.epochLenOf(e), Prob: s.prob[e]}
 	}
 	return rows
+}
+
+// schedule holds the Figure 1 constants the round loop reads, derived once
+// per run from defaulted Params; an arena's slots share one. Each field
+// equals the Params method it caches, bit for bit.
+type schedule struct {
+	lgN      int
+	epochLen uint64 // ℓE, epochs 1..lgN−1
+	finalLen uint64 // ℓE+, epoch lgN
+	// prob[e] is the contender broadcast probability of epoch e in
+	// 1..lgN; prob[0] is unused.
+	prob []float64
+	dist freqdist.Uniform // uniform over [1..F']
+	p    Params           // defaulted
+}
+
+// newSchedule derives the schedule from q, which must already carry its
+// defaults. Every value comes from the Params method it caches, so the
+// formulas live in one place.
+func newSchedule(q Params) *schedule {
+	lg := q.LgN()
+	s := &schedule{
+		lgN:      lg,
+		epochLen: q.EpochLen(),
+		finalLen: q.FinalEpochLen(),
+		prob:     make([]float64, lg+1),
+		dist:     freqdist.NewUniform(1, q.FPrime()),
+		p:        q,
+	}
+	for e := 1; e <= lg; e++ {
+		s.prob[e] = q.BroadcastProb(e)
+	}
+	return s
+}
+
+// epochLenOf returns the length of epoch e.
+func (s *schedule) epochLenOf(e int) uint64 {
+	if e == s.lgN {
+		return s.finalLen
+	}
+	return s.epochLen
 }
 
 // Node is one Trapdoor Protocol participant. It implements sim.Agent,
 // sim.BroadcastProber and sim.LeaderReporter. Nodes are not safe for
 // concurrent use; the engine drives each from one goroutine at a time.
 type Node struct {
-	p    Params
-	r    *rng.Rand
-	dist freqdist.Uniform // uniform over [1..F']
+	s *schedule
+	r *rng.Rand
 
 	uid  uint64
 	age  uint64
@@ -224,15 +260,13 @@ func New(p Params, r *rng.Rand) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
+	s := newSchedule(p.withDefaults())
 	return &Node{
-		p:          p,
-		r:          r,
-		dist:       freqdist.NewUniform(1, p.FPrime()),
-		uid:        core.NewUID(r, p.N),
-		role:       core.RoleContender,
-		epoch:      1,
-		epochRound: 0,
+		s:     s,
+		r:     r,
+		uid:   core.NewUID(r, s.p.N),
+		role:  core.RoleContender,
+		epoch: 1,
 	}, nil
 }
 
@@ -246,14 +280,14 @@ func MustNew(p Params, r *rng.Rand) *Node {
 }
 
 // Arena pools Node construction for one engine run: count slots laid out in
-// one contiguous slab, with parameters validated and defaulted once. Its
+// one contiguous slab, sharing one schedule derived once. Its
 // NewAgent matches sim.Config.NewAgent and draws exactly what New draws from
 // the node's rng stream, so arena-built runs are bit-identical to
 // MustNew-built runs; slot i is only ever touched by node i, so the arena is
 // safe under RunConcurrent's disjoint node ownership. Arena-built nodes form
 // one batch cohort (the arena pointer is the cohort key).
 type Arena struct {
-	p     Params
+	s     *schedule
 	nodes []Node
 }
 
@@ -263,7 +297,7 @@ func NewArena(p Params, count int) (*Arena, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Arena{p: p.withDefaults(), nodes: make([]Node, count)}, nil
+	return &Arena{s: newSchedule(p.withDefaults()), nodes: make([]Node, count)}, nil
 }
 
 // MustNewArena is NewArena for callers with static parameters.
@@ -280,10 +314,9 @@ func MustNewArena(p Params, count int) *Arena {
 func (a *Arena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 	nd := &a.nodes[id]
 	*nd = Node{
-		p:     a.p,
+		s:     a.s,
 		r:     r,
-		dist:  freqdist.NewUniform(1, a.p.FPrime()),
-		uid:   core.NewUID(r, a.p.N),
+		uid:   core.NewUID(r, a.s.p.N),
 		role:  core.RoleContender,
 		epoch: 1,
 		arena: a,
@@ -313,25 +346,17 @@ func (n *Node) timestamp() msg.Timestamp {
 	return msg.Timestamp{Age: n.age, UID: n.uid}
 }
 
-// epochLen returns the length of epoch e.
-func (n *Node) epochLen(e int) uint64 {
-	if e == n.p.LgN() {
-		return n.p.FinalEpochLen()
-	}
-	return n.p.EpochLen()
-}
-
 // BroadcastProb reports the probability that the upcoming Step transmits.
 func (n *Node) BroadcastProb() float64 {
 	switch n.role {
 	case core.RoleContender:
 		e := n.epoch
-		if n.epochRound >= n.epochLen(e) && e < n.p.LgN() {
+		if n.epochRound >= n.s.epochLenOf(e) && e < n.s.lgN {
 			e++
 		}
-		return n.p.BroadcastProb(e)
+		return n.s.prob[e]
 	case core.RoleLeader:
-		return n.p.LeaderTxProb
+		return n.s.p.LeaderTxProb
 	default:
 		return 0
 	}
@@ -386,9 +411,10 @@ func (n *Node) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bo
 func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 	n.age = local
 	n.out.Tick()
+	s := n.s
 
-	if n.p.FaultTolerant && (n.role == core.RoleSynced || n.role == core.RoleKnockedOut) {
-		if n.age-n.lastLeader > n.p.LeaderTimeout {
+	if s.p.FaultTolerant && (n.role == core.RoleSynced || n.role == core.RoleKnockedOut) {
+		if n.age-n.lastLeader > s.p.LeaderTimeout {
 			n.restart()
 		}
 	}
@@ -396,17 +422,17 @@ func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 	switch n.role {
 	case core.RoleContender:
 		// Advance epochs; surviving the last one wins the competition.
-		for n.epochRound >= n.epochLen(n.epoch) {
-			n.epochRound -= n.epochLen(n.epoch)
+		for n.epochRound >= s.epochLenOf(n.epoch) {
+			n.epochRound -= s.epochLenOf(n.epoch)
 			n.epoch++
-			if n.epoch > n.p.LgN() {
+			if n.epoch > s.lgN {
 				n.becomeLeader()
 				return n.leaderStep(m)
 			}
 		}
 		n.epochRound++
-		f := int32(n.dist.Sample(n.r))
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		f := int32(s.dist.Sample(n.r))
+		if n.r.Bernoulli(s.prob[n.epoch]) {
 			*m = msg.Message{Kind: msg.KindContender, TS: n.timestamp()}
 			return f, true
 		}
@@ -416,7 +442,7 @@ func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 		return n.leaderStep(m)
 
 	default: // knocked out, synced: listen on a random competition channel
-		return int32(n.dist.Sample(n.r)), false
+		return int32(s.dist.Sample(n.r)), false
 	}
 }
 
@@ -433,8 +459,8 @@ func (n *Node) becomeLeader() {
 
 // leaderStep announces the numbering with probability LeaderTxProb.
 func (n *Node) leaderStep(m *msg.Message) (freq int32, transmit bool) {
-	f := int32(n.dist.Sample(n.r))
-	if n.r.Bernoulli(n.p.LeaderTxProb) {
+	f := int32(n.s.dist.Sample(n.r))
+	if n.r.Bernoulli(n.s.p.LeaderTxProb) {
 		*m = msg.Message{
 			Kind:   msg.KindLeader,
 			TS:     n.timestamp(),
@@ -452,7 +478,7 @@ func (n *Node) Deliver(m msg.Message) {
 	case msg.KindLeader:
 		n.deliverLeader(m)
 	case msg.KindContender:
-		if n.p.AblationNoKnockout {
+		if n.s.p.AblationNoKnockout {
 			return
 		}
 		if n.role == core.RoleContender && n.timestamp().Less(m.TS) {
@@ -479,7 +505,7 @@ func (n *Node) deliverLeader(m msg.Message) {
 	n.leaderHeard++
 	n.role = core.RoleSynced
 	n.scheme = m.Scheme
-	if n.leaderHeard >= n.p.CommitThreshold || n.out.Synced() {
+	if n.leaderHeard >= n.s.p.CommitThreshold || n.out.Synced() {
 		n.out.Adopt(m.Round)
 	}
 }

@@ -15,7 +15,8 @@
 //   - a deterministic, reproducible simulator of the disrupted radio
 //     network model, with pluggable adversaries and activation schedules;
 //   - baselines, lower-bound experiments, and a harness regenerating every
-//     figure and theorem of the paper (see EXPERIMENTS.md).
+//     figure and theorem of the paper (cmd/wexp; `wexp -list` prints the
+//     index).
 //
 // # Quick start
 //
