@@ -210,33 +210,3 @@ func TestBatchCohortsFallback(t *testing.T) {
 		t.Fatalf("mixed-population batch run differs from per-node run:\n%+v\nvs\n%+v", res, ref)
 	}
 }
-
-// TestBatchStepMatchesPerNodeConcurrent pins that RunConcurrent (always
-// per-node inside workers) agrees with the sequential batch path.
-func TestBatchStepMatchesPerNodeConcurrent(t *testing.T) {
-	const f, tBudget, n = 16, 4, 32
-	arena := trapdoor.MustNewArena(trapdoor.Params{N: n, F: f, T: tBudget}, n)
-	cfg := func() *sim.Config {
-		return &sim.Config{
-			F: f, T: tBudget, Seed: 17,
-			NewAgent:  arena.NewAgent,
-			Schedule:  sim.Staggered{Count: n, Gap: 2},
-			Adversary: adversary.NewSweep(f, tBudget, 1),
-		}
-	}
-	seq, err := sim.Run(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		c := cfg()
-		c.Workers = workers
-		conc, err := sim.RunConcurrent(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, conc) {
-			t.Fatalf("workers=%d: concurrent result differs from sequential batch result", workers)
-		}
-	}
-}

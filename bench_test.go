@@ -751,37 +751,6 @@ func BenchmarkStepDispatch(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineConcurrent measures the goroutine-per-agent engine on the
-// same workload.
-func BenchmarkEngineConcurrent(b *testing.B) {
-	const n = 128
-	var rounds uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := &sim.Config{
-			F:    8,
-			T:    2,
-			Seed: uint64(i),
-			NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-				return baseline.NewWakeup(256, 8, r)
-			},
-			Schedule:       sim.Simultaneous{Count: n},
-			Adversary:      adversary.NewRandom(8, 2, uint64(i)),
-			MaxRounds:      2000,
-			RunToMaxRounds: true,
-			Workers:        8,
-		}
-		res, err := sim.RunConcurrent(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += res.Stats.Rounds
-	}
-	b.StopTimer()
-	nodeRounds := float64(rounds) * n
-	b.ReportMetric(nodeRounds/b.Elapsed().Seconds(), "node-rounds/s")
-}
-
 func benchName(k string, v int) string {
 	return k + "=" + itoa(v)
 }

@@ -377,7 +377,7 @@ func mergeNormalize(t *testing.T, paths ...string) string {
 // TestShardMergeIdentity is the subsystem's headline invariant: for
 // K ∈ {1, 2, 5}, merging the K shard artifacts of a default-tier run is
 // byte-identical to the unsharded report once both sides pass through
-// `merge -zero-volatile` (which zeroes only the fields BENCH_FORMAT.md
+// `merge -zero-volatile` (which zeroes only the fields docs/BENCH_FORMAT.md
 // documents as volatile). CI's shard-smoke job enforces the same with
 // the real binary on every push.
 func TestShardMergeIdentity(t *testing.T) {

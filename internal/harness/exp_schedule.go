@@ -66,7 +66,7 @@ func runF2(o Options) (*Table, error) {
 	tbl.Notes = append(tbl.Notes,
 		fmt.Sprintf("config: N=%d F=%d t=%d; lgN=%d epochs + 2 per super-epoch, lgF=%d super-epochs",
 			p.N, p.F, p.T, p.LgN(), p.LgF()),
-		fmt.Sprintf("epoch length s(k) = CEpoch·2^k·lg²N (see DESIGN.md on the paper's log³N inconsistency); fallback epoch = %d rounds", p.FallbackEpochLen()),
+		fmt.Sprintf("epoch length s(k) = CEpoch·2^k·lg²N (see the internal/samaritan package doc on the paper's log³N inconsistency); fallback epoch = %d rounds", p.FallbackEpochLen()),
 		fmt.Sprintf("success threshold s(k)/2^(k+6): k=1 → %d", p.SuccessThreshold(1)),
 		dist,
 	)

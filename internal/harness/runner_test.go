@@ -2,14 +2,10 @@ package harness
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
-	"wsync/internal/adversary"
 	"wsync/internal/rng"
-	"wsync/internal/sim"
 	"wsync/internal/stats"
-	"wsync/internal/trapdoor"
 )
 
 // TestRunnerDeterminism is the runner's headline guarantee: sequential
@@ -100,40 +96,5 @@ func TestSummarizeTrialsMatchesSummarize(t *testing.T) {
 	})
 	if err == nil || err.Error() != "harness: trial 32 failed" {
 		t.Fatalf("err = %v, want deterministic first-by-index error", err)
-	}
-}
-
-// TestRunAgreesWithRunConcurrentUnderTrialSeeds drives both sim engines
-// with runner-derived per-trial seeds and requires identical results —
-// the property that lets the parallel runner host either engine.
-func TestRunAgreesWithRunConcurrentUnderTrialSeeds(t *testing.T) {
-	o := Options{Seed: 3}
-	p := trapdoor.Params{N: 32, F: 8, T: 2}
-	for trial := 0; trial < 3; trial++ {
-		mkCfg := func() *sim.Config {
-			return &sim.Config{
-				F:    p.F,
-				T:    p.T,
-				Seed: o.TrialSeed(12345, trial),
-				NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-					return trapdoor.MustNew(p, r)
-				},
-				Schedule:  sim.Staggered{Count: 6, Gap: 3},
-				Adversary: adversary.NewPrefix(p.F, p.T),
-				MaxRounds: 1 << 21,
-				Workers:   3,
-			}
-		}
-		seq, err := sim.Run(mkCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conc, err := sim.RunConcurrent(mkCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, conc) {
-			t.Fatalf("trial %d: Run and RunConcurrent disagree:\nseq:  %+v\nconc: %+v", trial, seq, conc)
-		}
 	}
 }

@@ -1,9 +1,11 @@
 package multihop
 
 import (
+	"runtime"
 	"testing"
 
 	"wsync/internal/adversary"
+	"wsync/internal/freqset"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
@@ -111,11 +113,54 @@ func (m *allocFlip) Deltas(uint64) (add, remove []Edge) {
 	return m.add, m.remove
 }
 
-// TestSteadyStateAllocs drives the multi-hop round loop past warm-up on
-// both medium paths and requires exactly zero allocations per round — the
-// multi-hop half of the zero-alloc hot-path contract (the single-hop half
-// lives in internal/sim). Unlike sim's test this one can use the real
-// adversary package (no import cycle from here).
+// allocProbe wraps a run's adversary and counts the heap allocations the
+// live run makes between its Disrupt calls of rounds from and to: the
+// work of rounds from..to-1, measured through the public Run, with the
+// churn applier and every engine phase in the window.
+type allocProbe struct {
+	sim.Adversary
+	from, to uint64
+	ms       runtime.MemStats
+	start    uint64
+	allocs   uint64
+}
+
+func (p *allocProbe) Disrupt(r uint64, h *sim.History) *freqset.Set {
+	switch r {
+	case p.from:
+		runtime.ReadMemStats(&p.ms)
+		p.start = p.ms.Mallocs
+	case p.to:
+		runtime.ReadMemStats(&p.ms)
+		p.allocs = p.ms.Mallocs - p.start
+	}
+	return p.Adversary.Disrupt(r, h)
+}
+
+// roundAllocs runs cfg for 164 rounds and returns the allocations per
+// round over rounds 65..164, rounded down as testing.AllocsPerRun does.
+// The 64 warm-up rounds let every growable buffer reach its working
+// capacity; after that only a per-frequency transmitter bucket growing to
+// a new high-water mark allocates, a few times per thousand rounds.
+func roundAllocs(t *testing.T, cfg *Config) (uint64, *Result) {
+	t.Helper()
+	probe := &allocProbe{Adversary: cfg.Adversary, from: 65, to: 165}
+	cfg.Adversary = probe
+	cfg.MaxRounds = 165
+	cfg.RunToMax = true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probe.allocs / (probe.to - probe.from), res
+}
+
+// TestSteadyStateAllocs drives multi-hop runs past warm-up on both medium
+// paths and requires zero allocations per round — the multi-hop
+// half of the zero-alloc hot-path contract (the clique half lives in
+// internal/sim). The churned variant also applies in-place edge deltas
+// every round.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
@@ -134,7 +179,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 					return &allocAgent{r: r, f: f}
 				},
 				Adversary: adversary.NewRandom(f, jam, 99),
-				RunToMax:  true,
 				Medium:    path.m,
 			}
 			if path.churn {
@@ -143,22 +187,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 				// SetGraph swap reuses every resolver buffer.
 				cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
 			}
-			e, err := newEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := uint64(0)
-			for ; r < 64; r++ {
-				e.runRound(r + 1)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				r++
-				e.runRound(r)
-			})
+			allocs, res := roundAllocs(t, cfg)
 			if allocs != 0 {
-				t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
+				t.Fatalf("steady-state round allocates %d objects, want 0", allocs)
 			}
-			if path.churn && e.res.ChurnRounds == 0 {
+			if path.churn && res.ChurnRounds == 0 {
 				t.Fatal("churned subtest never applied a delta; the alloc check ran vacuously")
 			}
 		})
@@ -166,46 +199,47 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestActivationRoundAllocs extends the zero-alloc contract to activation
-// rounds on the multi-hop engine: with arena-built agents, a round that
-// wakes new nodes (Wake, arena construction, cohort insertion) allocates
-// nothing. Four stragglers activate inside the measured window.
+// rounds on a graph: with arena-built agents, rounds that wake new nodes
+// (Wake, arena construction, and cohort insertion or the sorted solo
+// list) allocate nothing. Four stragglers activate inside the measured
+// window.
 func TestActivationRoundAllocs(t *testing.T) {
-	const f, jam = 16, 4
-	topo := Grid(8, 8)
-	n := topo.N()
-	sched := make(allocSchedule, n)
-	for i := range sched {
-		sched[i] = 1
-	}
-	// Stragglers activate at rounds 72..102, inside the window.
-	sched[n-4], sched[n-3], sched[n-2], sched[n-1] = 72, 82, 92, 102
-	arena := &allocArena{f: f, nodes: make([]allocAgent, n)}
-	cfg := &Config{
-		F:         f,
-		T:         jam,
-		Seed:      7,
-		Topology:  topo,
-		NewAgent:  arena.NewAgent,
-		Schedule:  sched,
-		Adversary: adversary.NewRandom(f, jam, 99),
-		RunToMax:  true,
-	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := uint64(0)
-	for ; r < 64; r++ {
-		e.runRound(r + 1)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		r++
-		e.runRound(r)
-	})
-	if allocs != 0 {
-		t.Fatalf("activation-inclusive round allocates %.1f objects, want 0", allocs)
-	}
-	if got := len(e.act.Active()); got != n {
-		t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", got, n)
+	for _, tc := range []struct {
+		name string
+		solo bool
+	}{{name: "batch"}, {name: "solo", solo: true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const f, jam = 16, 4
+			topo := Grid(8, 8)
+			n := topo.N()
+			sched := make(allocSchedule, n)
+			for i := range sched {
+				sched[i] = 1
+			}
+			// Stragglers activate at rounds 72..102, inside the window.
+			sched[n-4], sched[n-3], sched[n-2], sched[n-1] = 72, 82, 92, 102
+			arena := &allocArena{f: f, nodes: make([]allocAgent, n)}
+			cfg := &Config{
+				F:         f,
+				T:         jam,
+				Seed:      7,
+				Topology:  topo,
+				NewAgent:  arena.NewAgent,
+				Schedule:  sched,
+				Adversary: adversary.NewRandom(f, jam, 99),
+				NoBatch:   tc.solo,
+			}
+			allocs, res := roundAllocs(t, cfg)
+			if allocs != 0 {
+				t.Fatalf("activation-inclusive round allocates %d objects, want 0", allocs)
+			}
+			var want uint64
+			for _, a := range sched {
+				want += res.Rounds - a + 1
+			}
+			if res.NodeRounds != want {
+				t.Fatalf("%d node-rounds, want %d; the window missed the stragglers", res.NodeRounds, want)
+			}
+		})
 	}
 }

@@ -9,17 +9,17 @@
 // hear each other (the hidden-terminal effect). The adversary jams up to t
 // frequencies per round network-wide.
 //
-// The engine shares its activation and frequency-indexing machinery with
-// the single-hop simulator through internal/medium. On the default path
+// Run is a thin wrapper over the single-hop simulator's round loop
+// (sim.RunGraph): it validates the Config, applies topology churn between
+// rounds, and reports a multi-hop Result. On the default path
 // (Config.Medium zero value) each round costs O(active): one pass over
 // the awake nodes builds per-frequency transmitter buckets, and a
 // listener's reception is resolved by intersecting its frequency's bucket
 // with its neighborhood — bucket-walk or neighbor-walk, whichever side is
 // smaller. The complete graph (Clique) is exactly the single-hop model,
-// which TestCliqueMatchesSingleHop pins against internal/sim. The legacy
+// which TestCliqueMatchesSingleHop pins against sim.Run. The legacy
 // per-receiver full neighbor scan survives behind sim.MediumScan as the
-// differential-testing oracle (TestMultihopMediumDifferential), mirroring
-// the single-hop engine's resolver pair.
+// differential-testing oracle (TestMultihopMediumDifferential).
 //
 // Topologies cover lines, grids, cliques, and random geometric graphs
 // (RandomGeometric, with RandomGeometricConnected retrying samples until

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"wsync/internal/freqset"
 	"wsync/internal/medium"
-	"wsync/internal/msg"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
 )
@@ -102,12 +100,6 @@ type Config struct {
 	// O(E) per round and allocating — kept only for differential testing
 	// (TestChurnDeltaMatchesRebuild pins the two paths byte-identical).
 	ChurnRebuild bool
-	// Workers sets the goroutine count for RunConcurrent (0 = one per
-	// node); Run ignores it. Churned configs are safe under RunConcurrent:
-	// delta application and the SetGraph swap happen on the coordinating
-	// goroutine behind the round barrier, never concurrently with agent
-	// stepping.
-	Workers int
 }
 
 // Result reports a multi-hop run.
@@ -130,134 +122,31 @@ type Result struct {
 	ChurnEdges  uint64
 }
 
-func (c *Config) validate() error {
-	switch {
-	case c.F < 1:
-		return fmt.Errorf("multihop: F = %d", c.F)
-	case c.T < 0 || c.T >= c.F:
-		return fmt.Errorf("multihop: T = %d out of [0, F)", c.T)
-	case c.Topology == nil || c.Topology.N() < 1:
-		return errors.New("multihop: topology required")
-	case c.NewAgent == nil:
-		return errors.New("multihop: NewAgent required")
-	}
-	if c.Schedule != nil && c.Schedule.N() != c.Topology.N() {
-		return fmt.Errorf("multihop: schedule covers %d nodes, topology has %d",
-			c.Schedule.N(), c.Topology.N())
-	}
-	return nil
-}
+// churner applies a ChurnModel's per-round deltas to a private clone of
+// the configured topology and hands the result to the engine.
+type churner struct {
+	model   ChurnModel
+	rebuild bool
+	topo    *Topology
+	rounds  uint64
+	edges   uint64
 
-// engine is the multi-hop run state. It shares the activation and
-// frequency-indexing machinery with the single-hop engine through
-// internal/medium; only reception resolution differs (per-neighborhood
-// instead of global).
-type engine struct {
-	cfg  *Config
-	n    int
-	topo *Topology
-
-	agents     []sim.Agent
-	activation []uint64
-	agentRNG   []rng.Rand // one contiguous slab, pre-split at build
-	active     []bool
-
-	// batch groups awake nodes into same-constructor cohorts
-	// (sim.BatchAgent) so the round loop can advance each with one
-	// devirtualized StepBatch call, falling back to per-node Step.
-	batch *sim.BatchCohorts
-
-	// Per-node action state in struct-of-arrays layout, mirroring the
-	// single-hop engine: reception resolution touches only the packed
-	// frequency and transmit-flag arrays, and message payloads are copied
-	// only for transmitters (stale actMsg entries are never read — relay
-	// delivery consults them only for this round's transmitters).
-	actFreq []int32
-	actTx   []bool
-	actMsg  []msg.Message
-
-	act *medium.Activation
-	med *medium.Resolver
-
-	// pending delivery per node for the current round; pendingList names
-	// the nodes with hasPending set, in ascending order.
-	pending     []msg.Message
-	hasPending  []bool
-	pendingList []int
-
-	hist           *sim.History
-	res            *Result
-	empty          *freqset.Set
-	synced         int
-	activatedCount int
-
-	// rec is the reusable observer record; observe gates every record
-	// write so unobserved runs (all benchmarks, the zero-alloc pins) pay
-	// only dead branch checks.
-	rec     sim.RoundRecord
-	observe bool
-
-	// churnEdges is the rebuild oracle's edge set (normalized lo<<32|hi
+	// edgeSet is the rebuild oracle's edge set (normalized lo<<32|hi
 	// keys), maintained only under Config.ChurnRebuild.
-	churnEdges map[uint64]struct{}
+	edgeSet map[uint64]struct{}
 }
 
-func newEngine(c *Config) (*engine, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	n := c.Topology.N()
-	e := &engine{
-		cfg:        c,
-		n:          n,
-		topo:       c.Topology,
-		agents:     make([]sim.Agent, n),
-		activation: make([]uint64, n),
-		agentRNG:   make([]rng.Rand, n),
-		active:     make([]bool, n),
-		batch:      sim.NewBatchCohorts(n, c.NoBatch),
-		actFreq:    make([]int32, n),
-		actTx:      make([]bool, n),
-		actMsg:     make([]msg.Message, n),
-		pending:    make([]msg.Message, n),
-		hasPending: make([]bool, n),
-		hist:       &sim.History{F: c.F, Activated: make([]uint64, n), Received: make([]bool, n)},
-		res:        &Result{SyncRound: make([]uint64, n)},
-		empty:      freqset.New(c.F),
-	}
-	if len(c.Observers) > 0 {
-		e.observe = true
-		e.rec = sim.RoundRecord{
-			Actions:    make([]sim.ActionRecord, 0, n),
-			Deliveries: make([]sim.Delivery, 0, n),
-			Outputs:    make([]sim.Output, n),
+func newChurner(c *Config) *churner {
+	// Delta mutations must never reach the caller's topology, which
+	// experiments share across trials.
+	ch := &churner{model: c.Churn, rebuild: c.ChurnRebuild, topo: c.Topology.Clone()}
+	if c.ChurnRebuild {
+		ch.edgeSet = make(map[uint64]struct{}, ch.topo.EdgeCount())
+		for _, ed := range ch.topo.AppendEdges(nil) {
+			ch.edgeSet[edgeKey(ed.A, ed.B)] = struct{}{}
 		}
 	}
-	if c.Churn != nil {
-		// Delta mutations must never reach the caller's topology, which
-		// experiments share across trials.
-		e.topo = c.Topology.Clone()
-		if c.ChurnRebuild {
-			e.churnEdges = make(map[uint64]struct{}, e.topo.EdgeCount())
-			for _, ed := range e.topo.AppendEdges(nil) {
-				e.churnEdges[edgeKey(ed.A, ed.B)] = struct{}{}
-			}
-		}
-	}
-	master := rng.New(c.Seed)
-	for i := 0; i < n; i++ {
-		e.activation[i] = 1
-		if c.Schedule != nil {
-			e.activation[i] = c.Schedule.ActivationRound(i)
-			if e.activation[i] < 1 {
-				return nil, fmt.Errorf("multihop: node %d activation %d", i, e.activation[i])
-			}
-		}
-		master.SplitInto(uint64(i), &e.agentRNG[i])
-	}
-	e.act = medium.NewActivation(e.activation)
-	e.med = medium.NewResolver(c.F, n, e.topo)
-	return e, nil
+	return ch
 }
 
 // edgeKey normalizes an undirected edge into a comparable map key.
@@ -268,289 +157,118 @@ func edgeKey(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// churnRound advances the topology to round r: it pulls the model's edge
-// deltas and applies them, either in place (the delta fast path) or via
-// the rebuild oracle, then swaps the result into the resolver. Round 1 is
-// the configured topology; churn starts at round 2.
-func (e *engine) churnRound(r uint64) {
+// round advances the topology to round r and returns it, or nil when the
+// graph is unchanged. It pulls the model's edge deltas and applies them,
+// either in place (the delta fast path) or via the rebuild oracle. Round 1
+// is the configured topology; churn starts at round 2.
+func (ch *churner) round(r uint64) medium.Graph {
 	if r < 2 {
-		return
+		return nil
 	}
-	add, remove := e.cfg.Churn.Deltas(r)
+	add, remove := ch.model.Deltas(r)
 	if len(add) == 0 && len(remove) == 0 {
-		return
+		return nil
 	}
-	if e.cfg.ChurnRebuild {
-		e.rebuildTopology(r, add, remove)
-		return
-	}
-	for _, ed := range remove {
-		if !e.topo.DeleteEdge(ed.A, ed.B) {
-			panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
+	if ch.rebuild {
+		ch.rebuildTopology(r, add, remove)
+	} else {
+		for _, ed := range remove {
+			if !ch.topo.DeleteEdge(ed.A, ed.B) {
+				panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
+			}
+		}
+		for _, ed := range add {
+			if !ch.topo.InsertEdge(ed.A, ed.B) {
+				panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
+			}
 		}
 	}
-	for _, ed := range add {
-		if !e.topo.InsertEdge(ed.A, ed.B) {
-			panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
-		}
-	}
-	e.med.SetGraph(e.topo)
-	e.res.ChurnEdges += uint64(len(add) + len(remove))
-	e.res.ChurnRounds++
+	ch.edges += uint64(len(add) + len(remove))
+	ch.rounds++
+	return ch.topo
 }
 
 // rebuildTopology is the oracle path: the deltas update a plain edge set,
-// and a fresh Topology is constructed from scratch and swapped in whole.
-func (e *engine) rebuildTopology(r uint64, add, remove []Edge) {
+// and a fresh Topology is constructed from scratch.
+func (ch *churner) rebuildTopology(r uint64, add, remove []Edge) {
 	for _, ed := range remove {
 		key := edgeKey(ed.A, ed.B)
-		if _, ok := e.churnEdges[key]; !ok {
+		if _, ok := ch.edgeSet[key]; !ok {
 			panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
 		}
-		delete(e.churnEdges, key)
+		delete(ch.edgeSet, key)
 	}
 	for _, ed := range add {
 		key := edgeKey(ed.A, ed.B)
-		if _, ok := e.churnEdges[key]; ok {
+		if _, ok := ch.edgeSet[key]; ok {
 			panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
 		}
-		e.churnEdges[key] = struct{}{}
+		ch.edgeSet[key] = struct{}{}
 	}
-	fresh := newTopology(e.n)
-	for key := range e.churnEdges {
+	fresh := newTopology(ch.topo.N())
+	for key := range ch.edgeSet {
 		fresh.addEdge(int(key>>32), int(key&(1<<32-1)))
 	}
-	e.topo = fresh.finish()
-	e.med.SetGraph(e.topo)
-	e.res.ChurnEdges += uint64(len(add) + len(remove))
-	e.res.ChurnRounds++
+	ch.topo = fresh.finish()
 }
 
-// disruptedSet obtains and validates the adversary's choice for round r.
-func (e *engine) disruptedSet(r uint64) *freqset.Set {
-	if e.cfg.Adversary == nil {
-		return e.empty
-	}
-	s := e.cfg.Adversary.Disrupt(r, e.hist)
-	if s == nil {
-		return e.empty
-	}
-	if s.Len() > e.cfg.T {
-		panic(fmt.Sprintf("multihop: adversary jammed %d > %d", s.Len(), e.cfg.T))
-	}
-	return s
-}
-
-// queueDelivery records listener i's clean reception of node from's
-// transmission.
-func (e *engine) queueDelivery(i, from int) {
-	e.pending[i] = e.actMsg[from]
-	e.hasPending[i] = true
-	e.pendingList = append(e.pendingList, i)
-	e.hist.Received[i] = true
-	e.res.Deliveries++
-	if e.observe {
-		e.rec.Deliveries = append(e.rec.Deliveries,
-			sim.Delivery{From: sim.NodeID(from), To: sim.NodeID(i), Freq: int(e.actFreq[i])})
-	}
-}
-
-// beginObserve resets the reusable record for round r. No-op without
-// observers.
-func (e *engine) beginObserve(r uint64) {
-	if !e.observe {
-		return
-	}
-	e.rec.Round = r
-	e.rec.Actions = e.rec.Actions[:0]
-	e.rec.Deliveries = e.rec.Deliveries[:0]
-}
-
-// endObserve completes the round's record — actions of the awake nodes,
-// every node's post-round output (⊥ for inactive ones) — and notifies
-// the observers. Output() is a pure getter on every agent in this
-// repository, so reading it for already-synced nodes does not perturb
-// the run. No-op without observers.
-func (e *engine) endObserve(disrupted *freqset.Set) {
-	if !e.observe {
-		return
-	}
-	e.rec.Disrupted = disrupted
-	for _, i := range e.act.Active() {
-		e.rec.Actions = append(e.rec.Actions,
-			sim.ActionRecord{Node: sim.NodeID(i), Freq: int(e.actFreq[i]), Transmit: e.actTx[i]})
-	}
-	for i := 0; i < e.n; i++ {
-		if e.active[i] {
-			e.rec.Outputs[i] = e.agents[i].Output()
-		} else {
-			e.rec.Outputs[i] = sim.Output{}
-		}
-	}
-	for _, ob := range e.cfg.Observers {
-		ob.ObserveRound(&e.rec)
-	}
-}
-
-// resolveScan is the legacy per-receiver resolver: every listener walks
-// its full neighbor list counting same-frequency transmitters. It is kept
-// verbatim as the differential-testing oracle for the indexed path.
-func (e *engine) resolveScan(disrupted *freqset.Set) {
-	for i := 0; i < e.n; i++ {
-		if !e.active[i] || e.actTx[i] {
-			continue
-		}
-		f := int(e.actFreq[i])
-		txNeighbor := -1
-		txCount := 0
-		for _, w := range e.topo.Neighbors(i) {
-			if e.active[w] && e.actTx[w] && int(e.actFreq[w]) == f {
-				txCount++
-				txNeighbor = w
-			}
-		}
-		switch {
-		case txCount == 0:
-		case txCount >= 2:
-			e.res.Collisions++
-		case disrupted.Contains(f):
-			// jammed: nothing heard
-		default:
-			e.queueDelivery(i, txNeighbor)
-		}
-	}
-}
-
-// resolveIndexed is the frequency-indexed fast path: one pass over the
-// awake nodes builds per-frequency transmitter buckets, then each
-// listener's reception is resolved by intersecting its frequency's bucket
-// with its neighborhood (bucket-walk or neighbor-walk, whichever side is
-// smaller). Listeners whose frequency nobody transmitted on cost O(1).
-func (e *engine) resolveIndexed(disrupted *freqset.Set) {
-	med := e.med
-	for _, i := range e.act.Active() {
-		if e.actTx[i] {
-			med.Transmit(i, int(e.actFreq[i]))
-		} else {
-			med.Listen(i)
-		}
-	}
-	for _, i := range med.Listeners() {
-		f := int(e.actFreq[i])
-		from, count := med.Receive(i, f)
-		switch {
-		case count == 0:
-		case count >= 2:
-			e.res.Collisions++
-		case disrupted.Contains(f):
-			// jammed: nothing heard
-		default:
-			e.queueDelivery(i, from)
-		}
-	}
-	med.Reset()
-}
-
-// runRound executes one round end to end — activation, the adversary,
-// agent steps, reception resolution, deliveries, and sync bookkeeping —
-// and reports whether the run should stop. After warm-up a round performs
-// zero heap allocations; TestSteadyStateAllocs pins this.
-func (e *engine) runRound(r uint64) (stop bool) {
-	c := e.cfg
-	res := e.res
-	e.beginObserve(r)
-	if c.Churn != nil {
-		e.churnRound(r)
-	}
-	for _, i := range e.act.Wake(r) {
-		e.active[i] = true
-		a := c.NewAgent(sim.NodeID(i), r, &e.agentRNG[i])
-		e.agents[i] = a
-		e.batch.Add(i, a)
-		e.hist.Activated[i] = r
-		e.activatedCount++
-	}
-	disrupted := e.disruptedSet(r)
-	e.batch.StepBatches(r, e.activation, e.actFreq, e.actTx, e.actMsg)
-	for _, i := range e.batch.Solo() {
-		a := e.agents[i].Step(r - e.activation[i] + 1)
-		e.actFreq[i] = int32(a.Freq)
-		e.actTx[i] = a.Transmit
-		if a.Transmit {
-			e.actMsg[i] = a.Msg
-		}
-	}
-	// One validation sweep over the awake nodes, covering batched and solo
-	// steps alike — equivalent to the per-step check it replaces.
-	for _, i := range e.act.Active() {
-		if f := int(e.actFreq[i]); f < 1 || f > c.F {
-			panic(fmt.Sprintf("multihop: node %d chose frequency %d", i, f))
-		}
-	}
-	res.NodeRounds += uint64(len(e.act.Active()))
-
-	// Only nodes on pendingList can have hasPending set, so clearing
-	// them is equivalent to the legacy full sweep over all N.
-	for _, i := range e.pendingList {
-		e.hasPending[i] = false
-	}
-	e.pendingList = e.pendingList[:0]
-
-	if c.Medium == sim.MediumScan {
-		e.resolveScan(disrupted)
-	} else {
-		e.resolveIndexed(disrupted)
-	}
-
-	for _, i := range e.pendingList {
-		e.agents[i].Deliver(e.pending[i])
-	}
-	for _, i := range e.act.Active() {
-		if res.SyncRound[i] == 0 {
-			if out := e.agents[i].Output(); out.Synced {
-				res.SyncRound[i] = r
-				e.synced++
-			}
-		}
-	}
-	e.hist.Completed = r
-	res.Rounds = r
-	e.endObserve(disrupted)
-	if c.StopWhen != nil && c.StopWhen(r) {
-		return true
-	}
-	return !c.RunToMax && e.activatedCount == e.n && e.synced == e.n
-}
-
-// Run executes the simulation. Semantics per round: every active node
-// picks (frequency, transmit/listen); a listener u receives iff exactly
-// one neighbor of u transmitted on u's frequency and the adversary did not
-// jam it.
+// Run executes the simulation on the sim engine (sim.RunGraph). Semantics
+// per round: every active node picks (frequency, transmit/listen); a
+// listener u receives iff exactly one neighbor of u transmitted on u's
+// frequency and the adversary did not jam it. Apart from the topology,
+// sim.RunGraph validates c, including that the schedule covers exactly
+// the topology's nodes.
 func Run(c *Config) (*Result, error) {
-	e, err := newEngine(c)
+	if c.Topology == nil {
+		return nil, errors.New("multihop: topology required")
+	}
+	cfg := &sim.Config{
+		F:              c.F,
+		T:              c.T,
+		Seed:           c.Seed,
+		NewAgent:       c.NewAgent,
+		Schedule:       c.Schedule,
+		Adversary:      c.Adversary,
+		MaxRounds:      c.MaxRounds,
+		Observers:      c.Observers,
+		RunToMaxRounds: c.RunToMax,
+		Medium:         c.Medium,
+		NoBatch:        c.NoBatch,
+	}
+	if cfg.Schedule == nil {
+		cfg.Schedule = sim.Simultaneous{Count: c.Topology.N()}
+	}
+	if stop := c.StopWhen; stop != nil {
+		cfg.StopWhen = func(h *sim.History) bool { return stop(h.Completed) }
+	}
+	topo := c.Topology
+	var ch *churner
+	var update func(uint64) medium.Graph
+	if c.Churn != nil {
+		ch = newChurner(c)
+		topo, update = ch.topo, ch.round
+	}
+	sr, err := sim.RunGraph(cfg, topo, update)
 	if err != nil {
 		return nil, err
+	}
+	res := &Result{
+		Rounds:     sr.Stats.Rounds,
+		NodeRounds: sr.Stats.NodeRounds,
+		AllSynced:  sr.AllSynced,
+		SyncRound:  sr.SyncRound,
+		Leaders:    sr.Leaders,
+		Deliveries: sr.Stats.Deliveries,
+		Collisions: sr.Stats.Collisions,
+	}
+	if ch != nil {
+		res.ChurnRounds, res.ChurnEdges = ch.rounds, ch.edges
 	}
 	maxRounds := c.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = sim.DefaultMaxRounds
 	}
-	res := e.res
-
-	for r := uint64(1); r <= maxRounds; r++ {
-		if e.runRound(r) {
-			break
-		}
-	}
-	res.AllSynced = e.synced == e.n
 	res.HitMaxRounds = res.Rounds == maxRounds && !res.AllSynced
-	for i := 0; i < e.n; i++ {
-		if e.agents[i] != nil {
-			if lr, ok := e.agents[i].(sim.LeaderReporter); ok && lr.IsLeader() {
-				res.Leaders++
-			}
-		}
-	}
 	totalNodeRounds.Add(res.NodeRounds)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package multihop
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wsync/internal/rng"
@@ -15,10 +16,6 @@ import (
 type Topology struct {
 	n   int
 	adj [][]int
-	// seen guards against duplicate edges during construction in O(1)
-	// per insertion (the old per-edge linear scan of adj[a] made dense
-	// builds like geometric graphs quadratic in degree); finish drops it.
-	seen map[uint64]struct{}
 }
 
 // N returns the node count.
@@ -32,35 +29,27 @@ func (t *Topology) Degree(i int) int { return len(t.adj[i]) }
 
 // newTopology allocates an empty graph under construction.
 func newTopology(n int) *Topology {
-	return &Topology{n: n, adj: make([][]int, n), seen: make(map[uint64]struct{})}
+	return &Topology{n: n, adj: make([][]int, n)}
 }
 
-// addEdge inserts the undirected edge (a, b) once, in O(1) via the
-// seen-edge set.
+// addEdge records the undirected edge (a, b) during construction; finish
+// drops repeats.
 func (t *Topology) addEdge(a, b int) {
 	if a == b {
 		panic("multihop: self-loop")
 	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := uint64(lo)<<32 | uint64(hi)
-	if _, dup := t.seen[key]; dup {
-		return
-	}
-	t.seen[key] = struct{}{}
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
 }
 
-// finish seals a constructed graph: it drops the construction-time edge
-// set and sorts every adjacency list ascending, establishing the neighbor
-// order the medium resolver's binary search requires.
+// finish seals a constructed graph: it sorts every adjacency list
+// ascending, establishing the neighbor order the medium resolver's
+// binary search requires, and drops repeated edges, which sorting makes
+// adjacent.
 func (t *Topology) finish() *Topology {
-	t.seen = nil
-	for i := range t.adj {
-		sort.Ints(t.adj[i])
+	for i, nbrs := range t.adj {
+		sort.Ints(nbrs)
+		t.adj[i] = slices.Compact(nbrs)
 	}
 	return t
 }

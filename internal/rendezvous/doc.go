@@ -32,10 +32,10 @@
 // interface instead of special-casing it: blocked channels become
 // transmissions by virtual jammer nodes, and per-party masks become graph
 // adjacency — a mask node neighbors only the party it blocks, a global
-// jammer node neighbors every party. A listener on a blocked channel then
-// observes a collision through the ordinary Resolver.Receive intersection,
-// and the rendezvous medium is literally "one more Graph" over the
-// resolver, not a new engine.
+// jammer node neighbors every party. The graph is a multihop.Topology. A
+// listener on a blocked channel then observes a collision through the
+// ordinary Resolver.Receive intersection, and the rendezvous medium is
+// literally "one more Graph" over the resolver, not a new engine.
 //
 // lowerbound.TwoNodeGame is this engine with two parties and the greedy
 // jammer; the pre-engine loop survives as lowerbound.TwoNodeGameScan, the

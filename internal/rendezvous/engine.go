@@ -6,6 +6,7 @@ import (
 
 	"wsync/internal/freqset"
 	"wsync/internal/medium"
+	"wsync/internal/multihop"
 	"wsync/internal/rng"
 )
 
@@ -62,9 +63,9 @@ type Config struct {
 	// Masks churns per-party channel masks between rounds; nil means the
 	// static Party.Mask sets are the whole story. Dynamic masks
 	// materialize as k·F dedicated virtual transmitters whose adjacency
-	// to their party toggles per round, swapped into the resolver with
-	// SetGraph — the same mechanism the multihop engine uses for edge
-	// churn.
+	// to their party toggles per round through multihop.Topology's
+	// InsertEdge/DeleteEdge, swapped into the resolver with SetGraph —
+	// the same mechanism multihop.Run uses for edge churn.
 	Masks MaskModel
 	// MaxRounds bounds the game length.
 	MaxRounds uint64
@@ -90,16 +91,6 @@ type Result struct {
 	// NodeRounds counts awake party-rounds, the engine's throughput unit.
 	NodeRounds uint64
 }
-
-// gameGraph is the medium.Graph the engine resolves receptions against:
-// parties are mutually adjacent, each mask node neighbors only its party,
-// and each global jam node neighbors every party.
-type gameGraph struct {
-	adj [][]int
-}
-
-func (g *gameGraph) N() int                { return len(g.adj) }
-func (g *gameGraph) Neighbors(i int) []int { return g.adj[i] }
 
 // Run plays the game. The k parties occupy node indices 0..k−1 of the
 // medium; blocked channels materialize as transmissions by virtual nodes
@@ -149,37 +140,23 @@ func Run(cfg *Config) (*Result, error) {
 	if cfg.Masks != nil {
 		dynNodes = k * cfg.F
 	}
-	adj := make([][]int, dynBase+dynNodes)
+	// The game graph: parties are mutually adjacent, each mask node
+	// neighbors only its party, and each global jam node neighbors every
+	// party. Dynamic mask nodes start detached.
+	var edges []multihop.Edge
 	for p := 0; p < k; p++ {
-		for q := 0; q < k; q++ {
-			if q != p {
-				adj[p] = append(adj[p], q)
-			}
-		}
-		for m, mn := range masks {
-			if mn.owner == p {
-				adj[p] = append(adj[p], maskBase+m)
-			}
+		for q := p + 1; q < k; q++ {
+			edges = append(edges, multihop.Edge{A: p, B: q})
 		}
 		for j := 0; j < jamNodes; j++ {
-			adj[p] = append(adj[p], jamBase+j)
+			edges = append(edges, multihop.Edge{A: p, B: jamBase + j})
 		}
 	}
 	for m, mn := range masks {
-		adj[maskBase+m] = []int{mn.owner}
+		edges = append(edges, multihop.Edge{A: mn.owner, B: maskBase + m})
 	}
-	if jamNodes > 0 {
-		// Every jam node neighbors exactly the parties; share one slice.
-		parties := make([]int, k)
-		for p := range parties {
-			parties[p] = p
-		}
-		for j := 0; j < jamNodes; j++ {
-			adj[jamBase+j] = parties
-		}
-	}
-	graph := &gameGraph{adj: adj}
-	res := medium.NewResolver(cfg.F, len(adj), graph)
+	graph := multihop.NewTopologyFromEdges(dynBase+dynNodes, edges)
+	res := medium.NewResolver(cfg.F, graph.N(), graph)
 	var dynBlocked []bool
 	if dynNodes > 0 {
 		dynBlocked = make([]bool, dynNodes)
@@ -221,7 +198,7 @@ func Run(cfg *Config) (*Result, error) {
 		if cfg.Masks != nil && g >= 2 {
 			block, unblock := cfg.Masks.MaskDeltas(g)
 			if len(block)+len(unblock) > 0 {
-				if err := applyMaskDeltas(adj, dynBlocked, block, unblock, k, cfg.F, dynBase, g); err != nil {
+				if err := applyMaskDeltas(graph, dynBlocked, block, unblock, k, cfg.F, dynBase, g); err != nil {
 					return nil, err
 				}
 				res.SetGraph(graph)
@@ -307,36 +284,30 @@ func Run(cfg *Config) (*Result, error) {
 
 // applyMaskDeltas patches the game graph for one round of mask churn:
 // blocking (p, ch) attaches dyn node dynBase + p·F + ch − 1 to party p,
-// unblocking detaches it. Party adjacency stays sorted (dyn nodes are the
-// highest indices, laid out in slot order), so the resolver's binary
-// searches keep working on the swapped graph. Unblocks apply first so a
-// model may retire and re-impose the same slot across rounds.
-func applyMaskDeltas(adj [][]int, dynBlocked []bool, block, unblock [][2]int, k, f, dynBase int, g uint64) error {
+// unblocking detaches it. Topology edits keep adjacency sorted, so the
+// resolver's binary searches keep working on the swapped graph. Unblocks
+// apply first so a model may retire and re-impose the same slot across
+// rounds.
+func applyMaskDeltas(graph *multihop.Topology, dynBlocked []bool, block, unblock [][2]int, k, f, dynBase int, g uint64) error {
 	for _, pc := range unblock {
 		idx, err := maskSlot(pc, k, f, g)
 		if err != nil {
 			return err
 		}
-		if !dynBlocked[idx] {
+		if !graph.DeleteEdge(pc[0], dynBase+idx) {
 			return fmt.Errorf("rendezvous: round %d unblocks channel %d for party %d, which is not blocked", g, pc[1], pc[0])
 		}
 		dynBlocked[idx] = false
-		node := dynBase + idx
-		adj[node] = adj[node][:0]
-		adj[pc[0]] = removeSortedInt(adj[pc[0]], node)
 	}
 	for _, pc := range block {
 		idx, err := maskSlot(pc, k, f, g)
 		if err != nil {
 			return err
 		}
-		if dynBlocked[idx] {
+		if !graph.InsertEdge(pc[0], dynBase+idx) {
 			return fmt.Errorf("rendezvous: round %d blocks channel %d for party %d twice", g, pc[1], pc[0])
 		}
 		dynBlocked[idx] = true
-		node := dynBase + idx
-		adj[node] = append(adj[node][:0], pc[0])
-		adj[pc[0]] = insertSortedInt(adj[pc[0]], node)
 	}
 	return nil
 }
@@ -350,27 +321,4 @@ func maskSlot(pc [2]int, k, f int, g uint64) (int, error) {
 		return 0, fmt.Errorf("rendezvous: round %d mask delta names channel %d outside [1..%d]", g, pc[1], f)
 	}
 	return pc[0]*f + pc[1] - 1, nil
-}
-
-// insertSortedInt inserts x into ascending s, assuming it is absent.
-func insertSortedInt(s []int, x int) []int {
-	i := len(s)
-	for i > 0 && s[i-1] > x {
-		i--
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-// removeSortedInt deletes x from ascending s, assuming it is present.
-func removeSortedInt(s []int, x int) []int {
-	for i, v := range s {
-		if v == x {
-			copy(s[i:], s[i+1:])
-			return s[:len(s)-1]
-		}
-	}
-	panic(fmt.Sprintf("rendezvous: mask node %d missing from adjacency", x))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wsync/internal/freqset"
+	"wsync/internal/medium"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 )
@@ -103,10 +104,9 @@ type allocSchedule []uint64
 func (s allocSchedule) N() int                       { return len(s) }
 func (s allocSchedule) ActivationRound(i int) uint64 { return s[i] }
 
-// allocCompleteGraph is an explicit complete graph: semantically the same
-// medium as the resolver's nil-graph fast path, but forcing graph-mode
-// resolution, so swapping between it and nil exercises SetGraph without
-// changing any result.
+// allocCompleteGraph is an explicit complete graph: the same medium as
+// the clique, resolved per listener on the graph path. Swapping two of
+// them in every round exercises SetGraph on a live engine.
 type allocCompleteGraph struct {
 	adj [][]int
 }
@@ -126,12 +126,12 @@ func newAllocCompleteGraph(n int) *allocCompleteGraph {
 func (g *allocCompleteGraph) N() int                { return len(g.adj) }
 func (g *allocCompleteGraph) Neighbors(i int) []int { return g.adj[i] }
 
-// TestSteadyStateAllocs drives the single-hop round loop past warm-up on
-// both medium paths and requires exactly zero allocations per round. The
-// churned variant additionally swaps the resolver's graph every round
-// (complete graph in, nil back out) — the single-hop half of the
-// dynamic-topology contract: per-round SetGraph swaps on a live engine
-// are allocation-free once warm.
+// TestSteadyStateAllocs drives the round loop past warm-up on both
+// clique medium paths and requires exactly zero allocations per round.
+// The churned variant runs on the graph path and has the per-round update
+// swap between two complete graphs every round: per-round SetGraph swaps
+// on a live engine are allocation-free once warm. The multi-hop pins in
+// internal/multihop cover static and delta-churned topologies.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
@@ -156,37 +156,31 @@ func TestSteadyStateAllocs(t *testing.T) {
 				Medium:         path.m,
 			}
 			cfg.Schedule = Simultaneous{Count: n}
-			e, err := newEngine(cfg)
+			var graph medium.Graph
+			var update func(uint64) medium.Graph
+			if path.churn {
+				even, odd := newAllocCompleteGraph(n), newAllocCompleteGraph(n)
+				graph = even
+				update = func(r uint64) medium.Graph {
+					if r%2 == 0 {
+						return even
+					}
+					return odd
+				}
+			}
+			e, err := newEngine(cfg, graph, update)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Warm-up: activate everyone and let every growable buffer
 			// (active list, touched/listener/pending lists, the round
 			// record) reach its working capacity.
-			var complete *allocCompleteGraph
-			if path.churn {
-				complete = newAllocCompleteGraph(n)
-			}
 			r := uint64(0)
 			for ; r < 64; r++ {
-				if path.churn {
-					if r%2 == 0 {
-						e.med.SetGraph(complete)
-					} else {
-						e.med.SetGraph(nil)
-					}
-				}
 				e.runRound(r + 1)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				r++
-				if path.churn {
-					if r%2 == 0 {
-						e.med.SetGraph(complete)
-					} else {
-						e.med.SetGraph(nil)
-					}
-				}
 				e.runRound(r)
 			})
 			if allocs != 0 {
@@ -229,7 +223,7 @@ func TestActivationRoundAllocs(t *testing.T) {
 				RunToMaxRounds: true,
 				Schedule:       sched,
 			}
-			e, err := newEngine(cfg)
+			e, err := newEngine(cfg, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

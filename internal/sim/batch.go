@@ -29,42 +29,39 @@ type BatchAgent interface {
 	StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message)
 }
 
-// batchCohort is one group of agents that advance together. rep is any
+// cohort is one group of agents that advance together. rep is any
 // member; StepBatch is dispatched through it.
-type batchCohort struct {
+type cohort struct {
 	key    any
 	rep    BatchAgent
 	ids    []int
 	locals []uint64
 }
 
-// BatchCohorts maintains the cohort grouping for one engine run. Cohort
+// batchCohorts maintains the cohort grouping for one engine run. Cohort
 // membership is static — nodes never deactivate and never change cohort —
 // so the grouping is computed incrementally at activation and each member
 // list is kept sorted, preserving the per-node step order inside a cohort.
 // Nodes whose agent does not batch (or that opted out) land on the solo
 // list, also sorted, and are stepped through the per-node fallback.
-//
-// It is shared by the single-hop and multihop engines; both use it only on
-// their sequential paths (RunConcurrent steps per node inside workers).
-type BatchCohorts struct {
+type batchCohorts struct {
 	n       int
 	disable bool
-	cohorts []batchCohort
+	cohorts []cohort
 	solo    []int
 }
 
-// NewBatchCohorts returns an empty grouping over n nodes. With disable set,
+// newBatchCohorts returns an empty grouping over n nodes. With disable set,
 // every node lands on the solo list — the Config.NoBatch escape hatch and
 // the per-node leg of the differential tests.
-func NewBatchCohorts(n int, disable bool) *BatchCohorts {
-	return &BatchCohorts{n: n, disable: disable, solo: make([]int, 0, n)}
+func newBatchCohorts(n int, disable bool) *batchCohorts {
+	return &batchCohorts{n: n, disable: disable, solo: make([]int, 0, n)}
 }
 
 // Add routes newly activated node i, with agent a, to its cohort (creating
 // one for an unseen key) or to the solo list. Call it once per node, at
 // activation.
-func (b *BatchCohorts) Add(i int, a Agent) {
+func (b *batchCohorts) Add(i int, a Agent) {
 	if !b.disable {
 		if ba, ok := a.(BatchAgent); ok {
 			if key := ba.Cohort(); key != nil {
@@ -76,7 +73,7 @@ func (b *BatchCohorts) Add(i int, a Agent) {
 						return
 					}
 				}
-				b.cohorts = append(b.cohorts, batchCohort{
+				b.cohorts = append(b.cohorts, cohort{
 					key:    key,
 					rep:    ba,
 					ids:    append(make([]int, 0, b.n), i),
@@ -91,7 +88,7 @@ func (b *BatchCohorts) Add(i int, a Agent) {
 
 // StepBatches advances every cohort for global round r: one StepBatch call
 // per cohort, with per-member local rounds derived from activation.
-func (b *BatchCohorts) StepBatches(r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (b *batchCohorts) StepBatches(r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
 	for ci := range b.cohorts {
 		c := &b.cohorts[ci]
 		for j, id := range c.ids {
@@ -103,7 +100,7 @@ func (b *BatchCohorts) StepBatches(r uint64, activation []uint64, actFreq []int3
 
 // Solo returns the nodes outside every cohort, ascending. The engine steps
 // them per node after the batched cohorts.
-func (b *BatchCohorts) Solo() []int { return b.solo }
+func (b *batchCohorts) Solo() []int { return b.solo }
 
 // insertSorted inserts x into ascending slice s. Schedules overwhelmingly
 // wake nodes in index order, so the append fast path covers almost every

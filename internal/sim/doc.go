@@ -11,22 +11,23 @@
 // transmission. Nodes are activated at schedule-determined rounds and run
 // local round counters starting at activation.
 //
-// The package provides two engines over the same Config: Run executes nodes
-// sequentially in one goroutine; RunConcurrent gives every node agent its
-// own goroutine synchronized by round barriers. Both are deterministic
-// given the same Config and produce identical Results, which a test
-// verifies; the concurrent engine exists because node agents map naturally
-// onto goroutines and it parallelizes expensive per-node work.
+// The package holds one round loop for two media. Run executes it on the
+// single-hop clique above. RunGraph executes it on a multi-hop medium
+// given by a graph, optionally changing between rounds: a listener hears
+// only its neighbors, and two transmitting neighbors collide at it even if
+// they cannot hear each other. internal/multihop wraps RunGraph with
+// topologies and churn. The two media share activation, the adversary,
+// agent stepping, delivery and sync bookkeeping; only reception
+// classification differs. Runs are deterministic given the same Config.
 //
-// Orthogonally to the engine choice, Config.Medium selects how the shared
-// medium is resolved each round. The default frequency-indexed path —
-// activation buckets, the sorted awake list, and per-frequency indexing
-// shared with the multi-hop engine through internal/medium, used here on
-// its complete-graph fast path — buckets broadcasters and listeners by
-// frequency using only the awake nodes, so a round costs O(active)
-// independent of F and N: the property that makes the -full sweep grids
-// (N up to 16384, F up to 128) tractable. The legacy full-scan resolver
-// (MediumScan) survives as a differential-testing oracle;
-// TestMediumDifferential proves the two paths bit-identical in every
+// Config.Medium selects how the medium is resolved each round. The
+// default frequency-indexed path — activation buckets, the sorted awake
+// list, and per-frequency indexing through internal/medium — buckets
+// broadcasters and listeners by frequency using only the awake nodes, so
+// a clique round costs O(active) independent of F and N: the property
+// that makes the -full sweep grids (N up to 16384, F up to 128)
+// tractable. The legacy full-scan resolvers (MediumScan), one per medium,
+// survive as differential-testing oracles; TestMediumDifferential and
+// TestMultihopMediumDifferential prove the paths bit-identical in every
 // observable over randomized schedules.
 package sim

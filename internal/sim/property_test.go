@@ -130,38 +130,72 @@ func (a *randomAdv) Disrupt(round uint64, h *History) *freqset.Set {
 	return a.set
 }
 
-// Property: the concurrent engine matches the sequential engine for random
-// configurations (stats and sync rounds), including with weight probing.
-func TestQuickConcurrentParity(t *testing.T) {
-	prop := func(seed uint64, nRaw, fRaw, workersRaw uint8) bool {
+// probeAgent is a randomAgent whose BroadcastProb is 1/(k+1) after k
+// steps, so a recorded weight tells which step it was probed before.
+type probeAgent struct {
+	randomAgent
+	steps int
+}
+
+func (a *probeAgent) Step(local uint64) Action {
+	a.steps++
+	return a.randomAgent.Step(local)
+}
+
+func (a *probeAgent) BroadcastProb() float64 { return 1 / float64(a.steps+1) }
+
+// Property: for random configurations on both medium paths, weight
+// probing records every awake node's pre-Step BroadcastProb (0 for nodes
+// not yet awake) and does not perturb the run.
+func TestQuickProbeWeights(t *testing.T) {
+	prop := func(seed uint64, nRaw, fRaw uint8, scan bool) bool {
 		n := int(nRaw%10) + 2
 		f := int(fRaw%6) + 2
-		workers := int(workersRaw % 5) // 0 = per-node
-		mk := func() *Config {
-			return &Config{
+		sched := Staggered{Count: n, Gap: 2}
+		bad := false
+		check := funcObs(func(rec *RoundRecord) {
+			if len(rec.Weights) != n {
+				bad = true
+			}
+			for i, w := range rec.Weights {
+				want := 0.0
+				if a := sched.ActivationRound(i); a <= rec.Round {
+					want = 1 / float64(rec.Round-a+1)
+				}
+				bad = bad || w != want
+			}
+		})
+		mk := func(probe bool) *Config {
+			cfg := &Config{
 				F:    f,
 				T:    1,
 				Seed: seed,
 				NewAgent: func(id NodeID, activation uint64, r *rng.Rand) Agent {
-					return &randomAgent{r: r, f: f}
+					return &probeAgent{randomAgent: randomAgent{r: r, f: f}}
 				},
-				Schedule:       Staggered{Count: n, Gap: 2},
+				Schedule:       sched,
 				Adversary:      &randomAdv{f: f, t: 1, r: rng.New(seed + 9)},
 				MaxRounds:      120,
 				RunToMaxRounds: true,
-				ProbeWeights:   true,
-				Workers:        workers,
 			}
+			if scan {
+				cfg.Medium = MediumScan
+			}
+			if probe {
+				cfg.ProbeWeights = true
+				cfg.Observers = []Observer{check}
+			}
+			return cfg
 		}
-		seq, err := Run(mk())
+		plain, err := Run(mk(false))
 		if err != nil {
 			return false
 		}
-		conc, err := RunConcurrent(mk())
+		probed, err := Run(mk(true))
 		if err != nil {
 			return false
 		}
-		return resultsEqual(seq, conc)
+		return !bad && resultsEqual(plain, probed)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -147,13 +147,17 @@ type Observer interface {
 
 // Stats aggregates medium-level counters over a run.
 type Stats struct {
-	Rounds          uint64 // rounds executed
-	NodeRounds      uint64 // active node-rounds executed (Σ over rounds of awake nodes)
-	Transmissions   uint64 // node-round transmissions
-	Collisions      uint64 // (round, freq) pairs with >= 2 transmitters
-	DisruptedLosses uint64 // single-transmitter (round, freq) pairs lost to disruption
+	Rounds        uint64 // rounds executed
+	NodeRounds    uint64 // active node-rounds executed (Σ over rounds of awake nodes)
+	Transmissions uint64 // node-round transmissions
+	// Collisions counts, on the clique, (round, freq) pairs with >= 2
+	// transmitters. On a graph (RunGraph) it counts (receiver, round)
+	// pairs where the listener had >= 2 neighbors transmitting on its
+	// frequency.
+	Collisions      uint64
+	DisruptedLosses uint64 // single-transmitter (round, freq) pairs lost to disruption; clique only
 	Deliveries      uint64 // successful receptions (listener count)
-	ClearBroadcasts uint64 // (round, freq) pairs with a clear broadcast
+	ClearBroadcasts uint64 // (round, freq) pairs with a clear broadcast; clique only
 }
 
 // Result is the outcome of one simulation run.
@@ -246,9 +250,6 @@ type Config struct {
 	// depend only on what actually fits in a radio slot. Encoding failures
 	// panic: a protocol emitting unencodable messages is a bug.
 	WireFidelity bool
-	// Workers sets the number of worker goroutines used by RunConcurrent;
-	// 0 means one goroutine per node.
-	Workers int
 	// Medium selects the medium-resolution path; the zero value is the
 	// frequency-indexed fast path. MediumScan forces the legacy O(F + N)
 	// scan, which exists as a differential-testing oracle.

@@ -420,7 +420,7 @@ func (a *randomAgent) Deliver(m msg.Message) {
 
 func (a *randomAgent) Output() Output { return a.out }
 
-func randomConfig(seed uint64, workers int) *Config {
+func randomConfig(seed uint64) *Config {
 	return &Config{
 		F:    6,
 		T:    2,
@@ -432,7 +432,6 @@ func randomConfig(seed uint64, workers int) *Config {
 		Adversary:      &fixedAdversary{set: freqset.FromSlice(6, []int{1, 2})},
 		MaxRounds:      300,
 		RunToMaxRounds: true,
-		Workers:        workers,
 	}
 }
 
@@ -451,59 +450,23 @@ func resultsEqual(a, b *Result) bool {
 }
 
 func TestDeterminism(t *testing.T) {
-	r1, err := Run(randomConfig(99, 0))
+	r1, err := Run(randomConfig(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(randomConfig(99, 0))
+	r2, err := Run(randomConfig(99))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resultsEqual(r1, r2) {
 		t.Fatalf("same seed produced different results:\n%+v\n%+v", r1, r2)
 	}
-	r3, err := Run(randomConfig(100, 0))
+	r3, err := Run(randomConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resultsEqual(r1, r3) {
 		t.Fatal("different seeds produced identical results (suspicious)")
-	}
-}
-
-func TestConcurrentMatchesSequential(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 7} {
-		seq, err := Run(randomConfig(7, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conc, err := RunConcurrent(randomConfig(7, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(seq, conc) {
-			t.Fatalf("workers=%d: concurrent result differs from sequential:\n%+v\n%+v",
-				workers, seq.Stats, conc.Stats)
-		}
-	}
-}
-
-func TestConcurrentEarlyStop(t *testing.T) {
-	cfg := randomConfig(5, 0)
-	cfg.RunToMaxRounds = false
-	// All nodes sync quickly with F=6, T=2; both engines must agree.
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := randomConfig(5, 0)
-	cfg2.RunToMaxRounds = false
-	conc, err := RunConcurrent(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(seq, conc) {
-		t.Fatalf("early-stop mismatch: %+v vs %+v", seq.Stats, conc.Stats)
 	}
 }
 
@@ -549,16 +512,7 @@ func TestSchedules(t *testing.T) {
 func BenchmarkEngineSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(randomConfig(uint64(i), 0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineConcurrent(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunConcurrent(randomConfig(uint64(i), 4)); err != nil {
+		if _, err := Run(randomConfig(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

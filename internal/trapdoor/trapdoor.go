@@ -283,9 +283,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // one contiguous slab, sharing one schedule derived once. Its
 // NewAgent matches sim.Config.NewAgent and draws exactly what New draws from
 // the node's rng stream, so arena-built runs are bit-identical to
-// MustNew-built runs; slot i is only ever touched by node i, so the arena is
-// safe under RunConcurrent's disjoint node ownership. Arena-built nodes form
-// one batch cohort (the arena pointer is the cohort key).
+// MustNew-built runs; slot i is only ever touched by node i. Arena-built
+// nodes form one batch cohort (the arena pointer is the cohort key).
 type Arena struct {
 	s     *schedule
 	nodes []Node

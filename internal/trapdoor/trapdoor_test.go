@@ -428,24 +428,6 @@ func TestFaultTolerantLeaderContinuesNumbering(t *testing.T) {
 	}
 }
 
-func TestConcurrentEngineRunsTrapdoor(t *testing.T) {
-	p := Params{N: 16, F: 6, T: 2}
-	mk := func() *sim.Config {
-		return runConfig(p, sim.Simultaneous{Count: 6}, adversary.NewPrefix(6, 2), 21, 100000)
-	}
-	seq, err := sim.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := sim.RunConcurrent(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats != conc.Stats || seq.MaxSyncLocal != conc.MaxSyncLocal {
-		t.Fatalf("engines disagree: %+v vs %+v", seq.Stats, conc.Stats)
-	}
-}
-
 // TestBurstArrival synchronizes under burst activation: two waves of
 // contenders joining 200 rounds apart, the worst instantaneous-contention
 // pattern.

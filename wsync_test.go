@@ -92,27 +92,6 @@ func TestRunSingleFreqJammedFails(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatches(t *testing.T) {
-	mk := func(concurrent bool) Config {
-		return Config{
-			Protocol: Trapdoor, Nodes: 6, N: 32, F: 8, T: 2,
-			Adversary: "random", Seed: 11, Concurrent: concurrent,
-		}
-	}
-	seq, err := Run(mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := Run(mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != conc.Rounds || seq.MaxSyncLocal != conc.MaxSyncLocal {
-		t.Fatalf("concurrent differs: %d/%d vs %d/%d",
-			seq.Rounds, seq.MaxSyncLocal, conc.Rounds, conc.MaxSyncLocal)
-	}
-}
-
 func TestRunStaggeredAndRandomActivation(t *testing.T) {
 	for _, act := range []string{"staggered", "random"} {
 		res, err := Run(Config{
