@@ -18,8 +18,9 @@
 // Both modes log structured records (log/slog text format) to stderr
 // and, with -debug-addr, serve net/http/pprof plus a Prometheus
 // /metrics endpoint on a separate listener. The server mode also
-// mounts /metrics and GET /v1/jobs/{id}/events (SSE job-state
-// streaming) on the job API itself; see docs/OBSERVABILITY.md.
+// mounts /metrics and GET /v1/jobs/{id}/events?after=N (job-state
+// transitions as a resumable Server-Sent Events stream) on the job API
+// itself; see docs/OBSERVABILITY.md.
 //
 // Submit sweeps and collect merged reports with `wexp -submit`; the
 // wire protocol and cache key are documented in docs/BENCH_FORMAT.md

@@ -61,9 +61,10 @@ type TwoNodeResult struct {
 // Theorem 4 proof. The game ends at the first rendezvous.
 //
 // Since the rendezvous engine landed, TwoNodeGame is a two-party instance
-// of rendezvous.Run with the Greedy product jammer; TwoNodeGameScan keeps
-// the original private loop as the differential oracle. Both produce
-// bit-identical meeting rounds (TestTwoNodeGameMatchesScan).
+// of rendezvous.Run with the Greedy product jammer; the original private
+// loop survives as twoNodeGameScan in this package's tests, the
+// differential oracle. Both produce bit-identical meeting rounds
+// (TestTwoNodeGameMatchesScan).
 func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
 	if maxRounds == 0 {
 		return TwoNodeResult{}
@@ -84,54 +85,6 @@ func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed u
 		panic(fmt.Sprintf("lowerbound: two-node game: %v", err))
 	}
 	return TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0}
-}
-
-// TwoNodeGameScan is the pre-engine implementation of TwoNodeGame, kept as
-// the differential oracle for the shared rendezvous engine (the same role
-// sim.MediumScan plays for the frequency-indexed medium). It must stay
-// bit-identical to TwoNodeGame.
-func TwoNodeGameScan(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
-	r := rng.New(seed)
-	ru := r.Split(1)
-	rv := r.Split(2)
-
-	products := make([]float64, f+1)
-	disrupted := make([]bool, f+1)
-
-	for i := uint64(1); i <= maxRounds; i++ {
-		uLocal := offset + i // u has been awake for offset rounds already
-		vLocal := i
-
-		du, dv := u.Dist(uLocal), v.Dist(vLocal)
-		bu, bv := u.TxProb(uLocal), v.TxProb(vLocal)
-
-		// Greedy adversary: block the t largest p_j·q_j products.
-		for j := 1; j <= f; j++ {
-			products[j] = du.Prob(j) * dv.Prob(j)
-			disrupted[j] = false
-		}
-		for k := 0; k < t; k++ {
-			best, bestVal := 0, -1.0
-			for j := 1; j <= f; j++ {
-				if !disrupted[j] && products[j] > bestVal {
-					best, bestVal = j, products[j]
-				}
-			}
-			if best == 0 {
-				break
-			}
-			disrupted[best] = true
-		}
-
-		fu := du.Sample(ru)
-		fv := dv.Sample(rv)
-		txu := ru.Bernoulli(bu)
-		txv := rv.Bernoulli(bv)
-		if fu == fv && txu != txv && !disrupted[fu] {
-			return TwoNodeResult{Rounds: i, Met: true}
-		}
-	}
-	return TwoNodeResult{}
 }
 
 // BestUniformWidth plays the two-node game with UniformRegular{M, 1/2}

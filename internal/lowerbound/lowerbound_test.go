@@ -179,7 +179,7 @@ func TestTwoNodeGameMatchesScan(t *testing.T) {
 			for _, offset := range []uint64{0, 9} {
 				for seed := uint64(0); seed < uint64(seeds); seed++ {
 					got := TwoNodeGame(rc.u, rc.v, 8, tJam, offset, 1<<12, seed)
-					want := TwoNodeGameScan(rc.u, rc.v, 8, tJam, offset, 1<<12, seed)
+					want := twoNodeGameScan(rc.u, rc.v, 8, tJam, offset, 1<<12, seed)
 					if got != want {
 						t.Fatalf("%s t=%d offset=%d seed=%d: engine %+v, scan %+v",
 							rc.name, tJam, offset, seed, got, want)
@@ -218,7 +218,7 @@ func TestTwoNodeGameEdges(t *testing.T) {
 	for _, c := range cases {
 		for seed := uint64(0); seed < 5; seed++ {
 			got := TwoNodeGame(c.reg, c.reg, c.f, c.t, c.offset, c.maxRounds, seed)
-			want := TwoNodeGameScan(c.reg, c.reg, c.f, c.t, c.offset, c.maxRounds, seed)
+			want := twoNodeGameScan(c.reg, c.reg, c.f, c.t, c.offset, c.maxRounds, seed)
 			if got != want {
 				t.Fatalf("%s seed %d: engine %+v, scan %+v", c.name, seed, got, want)
 			}

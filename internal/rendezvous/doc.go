@@ -38,7 +38,7 @@
 // literally "one more Graph" over the resolver, not a new engine.
 //
 // lowerbound.TwoNodeGame is this engine with two parties and the greedy
-// jammer; the pre-engine loop survives as lowerbound.TwoNodeGameScan, the
-// differential oracle (TestRendezvousMatchesTwoNodeGame pins bit-for-bit
-// equality of meeting rounds).
+// jammer; the pre-engine loop survives in lowerbound's tests as the
+// differential oracle (lowerbound's TestRendezvousMatchesTwoNodeGame pins
+// bit-for-bit equality of meeting rounds).
 package rendezvous

@@ -52,6 +52,7 @@ func (b *Backoff) Next() time.Duration {
 }
 
 // Reset returns the sequence to Base. Loops call it on success — an
-// assignment for the worker poll, a delivered event batch for the
-// client watch — so backoff only grows through consecutive dry spells.
+// assignment for the worker poll, a stream that delivered events for
+// the client watch — so backoff only grows through consecutive dry
+// spells.
 func (b *Backoff) Reset() { b.n = 0 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -135,8 +134,8 @@ func permanentErr(err error) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode/100 == 4
 }
 
-// errStreamTruncated marks an SSE stream that ended before the job's
-// terminal event — a server drain or connection loss, worth a retry.
+// errStreamTruncated marks an event stream that ended before the job's
+// terminal event — a server drain or shutdown, worth resuming.
 var errStreamTruncated = errors.New("svc: event stream ended before a terminal event")
 
 // Events follows a job's SSE event stream, invoking fn for each event
@@ -144,10 +143,11 @@ var errStreamTruncated = errors.New("svc: event stream ended before a terminal e
 // terminal event (state done or failed) has been delivered, ctx.Err()
 // on cancellation, errStreamTruncated if the server ended the stream
 // early (drain), or a transport/API error. Callers wanting automatic
-// fallback use Watch instead.
+// resumption use Watch instead.
 func (c *Client) Events(ctx context.Context, jobID string, after int, fn func(JobEvent)) error {
+	path := "/v1/jobs/" + jobID + "/events"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(c.Base, "/")+"/v1/jobs/"+jobID+"/events?after="+strconv.Itoa(after), nil)
+		strings.TrimSuffix(c.Base, "/")+path+"?after="+strconv.Itoa(after), nil)
 	if err != nil {
 		return fmt.Errorf("svc: %w", err)
 	}
@@ -158,14 +158,8 @@ func (c *Client) Events(ctx context.Context, jobID string, after int, fn func(Jo
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return statusError(http.MethodGet, "/v1/jobs/"+jobID+"/events", resp)
+		return statusError(http.MethodGet, path, resp)
 	}
-	if !strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
-		// A server predating the events endpoint (or a proxy rewriting it)
-		// answered with JSON; treat as truncation so Watch falls back.
-		return errStreamTruncated
-	}
-	terminal := false
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var data []byte
@@ -185,111 +179,46 @@ func (c *Client) Events(ctx context.Context, jobID string, after int, fn func(Jo
 			data = data[:0]
 			fn(ev)
 			if ev.State != StateRunning {
-				terminal = true
+				return nil
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("svc: reading event stream: %w", err)
-	}
-	if terminal {
-		return nil
 	}
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("svc: reading event stream: %w", err)
+	}
 	return errStreamTruncated
 }
 
-// EventsLongPoll fetches the events after the cursor, letting the
-// server hold the request up to wait when none are pending yet.
-func (c *Client) EventsLongPoll(ctx context.Context, jobID string, after int, wait time.Duration) ([]JobEvent, error) {
-	q := url.Values{}
-	q.Set("after", strconv.Itoa(after))
-	q.Set("wait", wait.String())
-	path := "/v1/jobs/" + jobID + "/events"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(c.Base, "/")+path+"?"+q.Encode(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("svc: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("svc: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, statusError(http.MethodGet, path, resp)
-	}
-	var out EventsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("svc: decoding %s response: %w", path, err)
-	}
-	return out.Events, nil
-}
-
-// Watch follows a job to its terminal state, invoking fn for every
-// event exactly once, in sequence order. It prefers the SSE stream and
-// falls back to long-polling when streaming fails, retrying transport
-// errors with jittered exponential backoff; the ?after cursor makes the
-// switchover seamless. Returns nil after a terminal event, ctx.Err()
-// on cancellation, or the first permanent (4xx) error.
+// Watch follows a job to its terminal state over the SSE stream,
+// invoking fn for every event exactly once, in sequence order. When a
+// stream fails for any reason but a 4xx answer, Watch waits out a
+// jittered exponential backoff and resumes from the last delivered
+// sequence number. Returns nil after a terminal event, ctx.Err() on
+// cancellation, or the first permanent (4xx) error.
 func (c *Client) Watch(ctx context.Context, jobID string, fn func(JobEvent)) error {
 	after := 0
-	terminal := false
-	deliver := func(ev JobEvent) {
-		if ev.Seq <= after {
-			return
-		}
-		after = ev.Seq
-		if ev.State != StateRunning {
-			terminal = true
-		}
-		fn(ev)
-	}
 	backoff := Backoff{Base: 200 * time.Millisecond, Max: 5 * time.Second}
-	sseBroken := false
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var err error
-		if !sseBroken {
-			err = c.Events(ctx, jobID, after, deliver)
-			if err == nil {
-				return nil
+		resumedFrom := after
+		err := c.Events(ctx, jobID, after, func(ev JobEvent) {
+			if ev.Seq > after {
+				after = ev.Seq
+				fn(ev)
 			}
-			if errors.Is(err, errStreamTruncated) {
-				// The stream worked but ended early (server drain): retry
-				// streaming rather than downgrading to polling.
-				if terminal {
-					return nil
-				}
-			} else {
-				sseBroken = true
-			}
-		} else {
-			var evs []JobEvent
-			evs, err = c.EventsLongPoll(ctx, jobID, after, 25*time.Second)
-			if err == nil {
-				for _, ev := range evs {
-					deliver(ev)
-				}
-				if terminal {
-					return nil
-				}
-				backoff.Reset()
-				continue
-			}
-		}
-		if ctx.Err() != nil {
+		})
+		switch {
+		case err == nil:
+			return nil
+		case ctx.Err() != nil:
 			return ctx.Err()
-		}
-		if permanentErr(err) {
+		case permanentErr(err):
 			return err
+		}
+		if after > resumedFrom {
+			backoff.Reset()
 		}
 		t := time.NewTimer(backoff.Next())
 		select {

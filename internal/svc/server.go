@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,9 +140,9 @@ type job struct {
 	errMsg string
 	report *shard.Report
 
-	// events is the append-only transition log served by
+	// events is the append-only transition log streamed by
 	// GET /v1/jobs/{id}/events; notify is closed and replaced on every
-	// append, waking blocked streams (SSE and long-poll alike).
+	// append, waking every open stream.
 	events []JobEvent
 	notify chan struct{}
 }
@@ -515,11 +514,11 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PushResponse{State: j.state})
 }
 
-// handleEvents serves the job's transition log: Server-Sent Events when
-// the client asks for text/event-stream (and the connection can flush),
-// a long-poll JSON round otherwise. The ?after=N cursor (last seen
-// sequence number) makes both forms resumable; docs/OBSERVABILITY.md
-// specifies the wire format.
+// handleEvents streams the job's transition log as Server-Sent Events,
+// resumable through the ?after=N cursor (the last seen sequence number);
+// docs/OBSERVABILITY.md specifies the wire format. The stream ends after
+// the terminal event, when the server drains or closes, or when the
+// client goes away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	after := 0
@@ -531,39 +530,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if wantsSSE(r) && canFlush {
-		s.serveSSE(w, r, flusher, id, after)
-		return
-	}
-	s.serveLongPoll(w, r, id, after)
-}
-
-func wantsSSE(r *http.Request) bool {
-	for _, accept := range r.Header.Values("Accept") {
-		if strings.Contains(accept, "text/event-stream") {
-			return true
-		}
-	}
-	return false
-}
-
-// jobEvents snapshots the events after the cursor plus the current
-// notify channel and terminal flag.
-func (s *Server) jobEvents(id string, after int) (evs []JobEvent, notify <-chan struct{}, terminal, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, found := s.jobs[id]
-	if !found {
-		return nil, nil, false, false
-	}
-	if after < len(j.events) {
-		evs = append(evs, j.events[after:]...)
-	}
-	return evs, j.notify, j.state != StateRunning, true
-}
-
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.Flusher, id string, after int) {
 	evs, notify, terminal, ok := s.jobEvents(id, after)
 	if !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
@@ -574,6 +540,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 	w.WriteHeader(http.StatusOK)
 	s.met.subscribers.Inc()
 	defer s.met.subscribers.Dec()
+	rc := http.NewResponseController(w)
 	for {
 		for _, ev := range evs {
 			data, err := json.Marshal(ev)
@@ -587,8 +554,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 			}
 			after = ev.Seq
 		}
-		flusher.Flush()
-		if terminal {
+		if terminal || rc.Flush() != nil {
 			return
 		}
 		select {
@@ -607,48 +573,19 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 	}
 }
 
-// longPollMaxWait caps the server-side block of a long-poll round.
-const longPollMaxWait = time.Minute
-
-func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, id string, after int) {
-	wait := 25 * time.Second
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			http.Error(w, "wait must be a non-negative duration", http.StatusBadRequest)
-			return
-		}
-		wait = d
+// jobEvents snapshots the events after the cursor plus the current
+// notify channel and terminal flag.
+func (s *Server) jobEvents(id string, after int) (evs []JobEvent, notify <-chan struct{}, terminal, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, found := s.jobs[id]
+	if !found {
+		return nil, nil, false, false
 	}
-	if wait > longPollMaxWait {
-		wait = longPollMaxWait
+	if after < len(j.events) {
+		evs = append(evs, j.events[after:]...)
 	}
-	evs, notify, terminal, ok := s.jobEvents(id, after)
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	if len(evs) == 0 && !terminal && wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-		case <-s.done:
-		case <-t.C:
-		case <-notify:
-		}
-		evs, _, _, ok = s.jobEvents(id, after)
-		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
-		}
-	}
-	if evs == nil {
-		evs = []JobEvent{}
-	}
-	writeJSON(w, http.StatusOK, EventsResponse{Events: evs})
+	return evs, j.notify, j.state != StateRunning, true
 }
 
 // heartbeat records a sign of life from the worker and extends its

@@ -31,15 +31,14 @@
 //
 //	POST /v1/jobs                SubmitRequest  -> SubmitResponse
 //	GET  /v1/jobs/{id}                          -> JobStatus
-//	GET  /v1/jobs/{id}/events                   -> SSE stream or EventsResponse
+//	GET  /v1/jobs/{id}/events?after=N           -> SSE stream of JobEvent
 //	POST /v1/poll                PollRequest    -> PollResponse
 //	POST /v1/push                PushRequest    -> PushResponse
 //	GET  /v1/healthz                            -> Health (503 while draining)
 //	GET  /metrics                               -> Prometheus text exposition
 //
-// The events endpoint streams job-state transitions: Server-Sent Events
-// when the client sends Accept: text/event-stream, a long-poll JSON
-// round otherwise, both resumable through the ?after=<seq> cursor.
+// The events endpoint streams job-state transitions as Server-Sent
+// Events, resumable through the ?after=<seq> cursor.
 // docs/BENCH_FORMAT.md ("The wsyncd job service") is the job-protocol
 // spec; docs/OBSERVABILITY.md covers metrics, logs, and the event wire
 // format.
@@ -154,12 +153,6 @@ type JobEvent struct {
 	Cached  int    `json:"cached"`
 	Retries int    `json:"retries"`
 	Error   string `json:"error,omitempty"`
-}
-
-// EventsResponse is the long-poll form of the events endpoint: all
-// events after the cursor, possibly empty if the wait elapsed first.
-type EventsResponse struct {
-	Events []JobEvent `json:"events"`
 }
 
 // Health statuses reported by GET /v1/healthz.
