@@ -41,8 +41,9 @@
 //     partitions) stack without coordinating.
 //
 // MaskFlip is the rendezvous-side sibling: it churns the parties'
-// per-channel masks through the rendezvous engine's MaskModel hook, which
-// drives the same SetGraph swap path on the game graph.
+// per-channel masks through the rendezvous engine's MaskModel hook, whose
+// deltas toggle the per-(party, channel) flags the engine looks up for
+// each listener's reception.
 //
 // All models are deterministic in their seed and construction arguments,
 // and a model instance drives exactly one run — trials construct fresh

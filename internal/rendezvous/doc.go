@@ -28,14 +28,15 @@
 //     the whole internal/adversary gallery by replaying the previous
 //     round's party actions to the adversary as history.
 //
-// The engine (Run) expresses all blocking through the medium.Graph
-// interface instead of special-casing it: blocked channels become
-// transmissions by virtual jammer nodes, and per-party masks become graph
-// adjacency — a mask node neighbors only the party it blocks, a global
-// jammer node neighbors every party. The graph is a multihop.Topology. A
-// listener on a blocked channel then observes a collision through the
-// ordinary Resolver.Receive intersection, and the rendezvous medium is
-// literally "one more Graph" over the resolver, not a new engine.
+// The engine (Run) resolves every round on the medium's complete-graph
+// path: the game graph is complete over the parties and the global jam
+// carriers, so a blocked channel is one more transmission by a virtual
+// jam node and a listener on it observes a collision or a bare carrier
+// through the ordinary Resolver.Receive. Per-party masks — static
+// Party.Mask sets and MaskModel churn — only ever put a carrier on their
+// owner's channel, so they are a per-listener lookup over (party,
+// channel) slots: a clean reception on a slot the listener has masked is
+// discarded. No graph, adjacency swap or mask transmitter is involved.
 //
 // lowerbound.TwoNodeGame is this engine with two parties and the greedy
 // jammer; the pre-engine loop survives in lowerbound's tests as the

@@ -6,7 +6,6 @@ import (
 
 	"wsync/internal/freqset"
 	"wsync/internal/medium"
-	"wsync/internal/multihop"
 	"wsync/internal/rng"
 )
 
@@ -35,8 +34,8 @@ type Party struct {
 	Head uint64
 	// Mask statically blocks channels for this party alone: a reception by
 	// this party on a masked channel is jammed, while other parties'
-	// receptions are untouched. Expressed as per-party graph adjacency to
-	// mask nodes, not as engine special cases.
+	// receptions are untouched. Run looks the listener's (party, channel)
+	// slot up after resolving the reception; duplicates are harmless.
 	Mask []int
 }
 
@@ -61,11 +60,9 @@ type Config struct {
 	// Jammer blocks channels globally each round; nil means none.
 	Jammer Jammer
 	// Masks churns per-party channel masks between rounds; nil means the
-	// static Party.Mask sets are the whole story. Dynamic masks
-	// materialize as k·F dedicated virtual transmitters whose adjacency
-	// to their party toggles per round through multihop.Topology's
-	// InsertEdge/DeleteEdge, swapped into the resolver with SetGraph —
-	// the same mechanism multihop.Run uses for edge churn.
+	// static Party.Mask sets are the whole story. Dynamic masks toggle one
+	// flag per (party, channel) slot, which Run consults, together with
+	// the static mask, for each listener's reception.
 	Masks MaskModel
 	// MaxRounds bounds the game length.
 	MaxRounds uint64
@@ -92,11 +89,12 @@ type Result struct {
 	NodeRounds uint64
 }
 
-// Run plays the game. The k parties occupy node indices 0..k−1 of the
-// medium; blocked channels materialize as transmissions by virtual nodes
-// above k (per-party mask nodes first, then one global jam node per
-// channel), so the resolver's ordinary neighborhood intersection — not
-// engine special cases — decides what is jammed for whom.
+// Run plays the game on the resolver's complete-graph path. The k parties
+// occupy node indices 0..k−1 of the medium, and a globally blocked
+// channel f is a transmission by the virtual jam node k+f−1, so a
+// listener on it hears a collision or a bare carrier. Per-party masks are
+// a lookup: a clean reception by party v on channel f is discarded when
+// v's static or dynamic mask blocks f.
 func Run(cfg *Config) (*Result, error) {
 	k := len(cfg.Parties)
 	if cfg.F < 1 {
@@ -119,48 +117,16 @@ func Run(cfg *Config) (*Result, error) {
 		}
 	}
 
-	// Node layout: parties, then mask nodes, then jam nodes.
-	type maskNode struct{ owner, freq int }
-	var masks []maskNode
+	// Masks are flags over (party, channel) slots p·F+f−1: static from
+	// Party.Mask, dynamic from the MaskModel's deltas.
+	res := medium.NewResolver(cfg.F, k+cfg.F, nil)
+	static := make([]bool, k*cfg.F)
 	for p, pt := range cfg.Parties {
 		for _, f := range pt.Mask {
-			masks = append(masks, maskNode{p, f})
+			static[p*cfg.F+f-1] = true
 		}
 	}
-	maskBase := k
-	jamBase := maskBase + len(masks)
-	jamNodes := 0
-	if cfg.Jammer != nil {
-		jamNodes = cfg.F // one virtual transmitter per blockable channel
-	}
-	// Dynamic masks get one dedicated node per (party, channel) slot so a
-	// block/unblock is a pure adjacency toggle, never a node re-layout.
-	dynBase := jamBase + jamNodes
-	dynNodes := 0
-	if cfg.Masks != nil {
-		dynNodes = k * cfg.F
-	}
-	// The game graph: parties are mutually adjacent, each mask node
-	// neighbors only its party, and each global jam node neighbors every
-	// party. Dynamic mask nodes start detached.
-	var edges []multihop.Edge
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			edges = append(edges, multihop.Edge{A: p, B: q})
-		}
-		for j := 0; j < jamNodes; j++ {
-			edges = append(edges, multihop.Edge{A: p, B: jamBase + j})
-		}
-	}
-	for m, mn := range masks {
-		edges = append(edges, multihop.Edge{A: mn.owner, B: maskBase + m})
-	}
-	graph := multihop.NewTopologyFromEdges(dynBase+dynNodes, edges)
-	res := medium.NewResolver(cfg.F, graph.N(), graph)
-	var dynBlocked []bool
-	if dynNodes > 0 {
-		dynBlocked = make([]bool, dynNodes)
-	}
+	dynBlocked := make([]bool, k*cfg.F)
 
 	wakes := make([]uint64, k)
 	strategies := make([]Strategy, k)
@@ -198,10 +164,9 @@ func Run(cfg *Config) (*Result, error) {
 		if cfg.Masks != nil && g >= 2 {
 			block, unblock := cfg.Masks.MaskDeltas(g)
 			if len(block)+len(unblock) > 0 {
-				if err := applyMaskDeltas(graph, dynBlocked, block, unblock, k, cfg.F, dynBase, g); err != nil {
+				if err := applyMaskDeltas(dynBlocked, block, unblock, k, cfg.F, g); err != nil {
 					return nil, err
 				}
-				res.SetGraph(graph)
 			}
 		}
 		act.Wake(g)
@@ -218,9 +183,6 @@ func Run(cfg *Config) (*Result, error) {
 			blocked = cfg.Jammer.Block(rd)
 		}
 
-		// Parties register in ascending index order (the active list is
-		// sorted), then mask nodes, then jam nodes — every frequency
-		// bucket is born sorted, as the resolver requires.
 		for _, p := range act.Active() {
 			f, tx := strategies[p].Pick(rd.Locals[p], rands[p])
 			if f < 1 || f > cfg.F {
@@ -234,30 +196,22 @@ func Run(cfg *Config) (*Result, error) {
 			}
 			out.NodeRounds++
 		}
-		for m, mn := range masks {
-			res.Transmit(maskBase+m, mn.freq)
-		}
 		if blocked != nil {
-			j := jamBase
 			for f := 1; f <= cfg.F; f++ {
 				if blocked.Contains(f) {
-					res.Transmit(j, f)
-					j++
+					res.Transmit(k+f-1, f)
 				}
-			}
-		}
-		// Dynamic mask slots scan in (party, channel) order, so node
-		// indices stay ascending as the buckets require.
-		for idx, on := range dynBlocked {
-			if on {
-				res.Transmit(dynBase+idx, idx%cfg.F+1)
 			}
 		}
 
 		for _, v := range res.Listeners() {
-			from, count := res.Receive(v, cur[v].Freq)
+			f := cur[v].Freq
+			from, count := res.Receive(v, f)
 			if count != 1 || from >= k {
 				continue // silence, collision, or a bare jam carrier
+			}
+			if slot := v*cfg.F + f - 1; static[slot] || dynBlocked[slot] {
+				continue // masked for this listener
 			}
 			out.Meetings++
 			if out.FirstMeet == 0 {
@@ -282,19 +236,16 @@ func Run(cfg *Config) (*Result, error) {
 	return out, nil
 }
 
-// applyMaskDeltas patches the game graph for one round of mask churn:
-// blocking (p, ch) attaches dyn node dynBase + p·F + ch − 1 to party p,
-// unblocking detaches it. Topology edits keep adjacency sorted, so the
-// resolver's binary searches keep working on the swapped graph. Unblocks
-// apply first so a model may retire and re-impose the same slot across
-// rounds.
-func applyMaskDeltas(graph *multihop.Topology, dynBlocked []bool, block, unblock [][2]int, k, f, dynBase int, g uint64) error {
+// applyMaskDeltas applies one round of mask churn to the dynamic
+// (party, channel) slots. Unblocks apply first so a model may retire and
+// re-impose the same slot across rounds.
+func applyMaskDeltas(dynBlocked []bool, block, unblock [][2]int, k, f int, g uint64) error {
 	for _, pc := range unblock {
 		idx, err := maskSlot(pc, k, f, g)
 		if err != nil {
 			return err
 		}
-		if !graph.DeleteEdge(pc[0], dynBase+idx) {
+		if !dynBlocked[idx] {
 			return fmt.Errorf("rendezvous: round %d unblocks channel %d for party %d, which is not blocked", g, pc[1], pc[0])
 		}
 		dynBlocked[idx] = false
@@ -304,7 +255,7 @@ func applyMaskDeltas(graph *multihop.Topology, dynBlocked []bool, block, unblock
 		if err != nil {
 			return err
 		}
-		if !graph.InsertEdge(pc[0], dynBase+idx) {
+		if dynBlocked[idx] {
 			return fmt.Errorf("rendezvous: round %d blocks channel %d for party %d twice", g, pc[1], pc[0])
 		}
 		dynBlocked[idx] = true
@@ -312,7 +263,7 @@ func applyMaskDeltas(graph *multihop.Topology, dynBlocked []bool, block, unblock
 	return nil
 }
 
-// maskSlot validates a (party, channel) pair and returns its dyn slot.
+// maskSlot validates a (party, channel) pair and returns its slot.
 func maskSlot(pc [2]int, k, f int, g uint64) (int, error) {
 	if pc[0] < 0 || pc[0] >= k {
 		return 0, fmt.Errorf("rendezvous: round %d mask delta names party %d outside [0..%d]", g, pc[0], k-1)

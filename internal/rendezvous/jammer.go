@@ -89,10 +89,17 @@ func NewGreedy(f, t int) *Greedy {
 
 // Block recomputes the products and blocks the T largest. The selection
 // replays the historical two-node scan loop exactly: products scanned
-// ascending, strict improvement, stop once no candidate channel remains.
-// Parties multiply into the product row in index order, so the per-channel
-// float multiplication sequence — and hence the blocked set — is
-// bit-identical to the channel-outer formulation the scan loop used.
+// ascending, strict improvement over −1, stop once no candidate channel
+// remains. A taken channel's product is overwritten with −1, which can
+// never strictly beat the starting best, so it drops out of later passes
+// just as the scan loop's blocked-set probe dropped it.
+//
+// Parties multiply into products[j] in party index order, so the
+// per-channel float multiplication sequence — and hence the blocked set —
+// is bit-identical to the channel-outer formulation the scan loop used.
+// That order must stay as it is: any rewrite of this loop, including a
+// move of the jammer onto another round engine, has to multiply in party
+// order to keep every greedy-jammed result bit-identical.
 func (g *Greedy) Block(rd *Round) *freqset.Set {
 	g.set.Clear()
 	for j := 1; j <= rd.F; j++ {
@@ -114,7 +121,7 @@ func (g *Greedy) Block(rd *Round) *freqset.Set {
 	for k := 0; k < g.T; k++ {
 		best, bestVal := 0, -1.0
 		for j := 1; j <= rd.F; j++ {
-			if !g.set.Contains(j) && g.products[j] > bestVal {
+			if g.products[j] > bestVal {
 				best, bestVal = j, g.products[j]
 			}
 		}
@@ -122,6 +129,7 @@ func (g *Greedy) Block(rd *Round) *freqset.Set {
 			break
 		}
 		g.set.Add(best)
+		g.products[best] = -1
 	}
 	return g.set
 }
@@ -130,8 +138,8 @@ func (g *Greedy) Block(rd *Round) *freqset.Set {
 // rendezvous band: the adversary's per-round disruption set becomes the
 // blocked set. Adaptive adversaries (reactive, stalker) see a synthetic
 // history carrying the previous round's party actions, so they target the
-// parties' actual transmissions and listens; the virtual jam nodes are
-// invisible to them.
+// parties' actual transmissions and listens; the engine's jam carriers
+// and party masks are invisible to them.
 type Churn struct {
 	adv  sim.Adversary
 	hist sim.History

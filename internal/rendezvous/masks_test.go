@@ -19,7 +19,7 @@ func (m *scriptedMasks) MaskDeltas(r uint64) (block, unblock [][2]int) {
 // TestDynamicMasksConstantMatchesStatic pins the dynamic path against the
 // static one: blocking a fixed (party, channel) set at round 2 while the
 // parties wake at round 2 must reproduce the static Party.Mask game
-// byte for byte — same graph semantics, different machinery.
+// byte for byte — the same per-listener lookup, fed by deltas.
 func TestDynamicMasksConstantMatchesStatic(t *testing.T) {
 	const f = 5
 	masks := [][]int{{1, 2}, {4}}
@@ -94,7 +94,7 @@ func TestDynamicMasksBlockAllStarves(t *testing.T) {
 }
 
 // TestDynamicMasksChurn toggles one slot on and off across rounds — the
-// add/remove/re-add path through repeated SetGraph swaps — and expects a
+// block/unblock/re-block path through the dynamic slot flags — and expects a
 // clean finish.
 func TestDynamicMasksChurn(t *testing.T) {
 	res, err := Run(&Config{

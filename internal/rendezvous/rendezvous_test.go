@@ -222,7 +222,7 @@ func TestTwoPartyOpenBand(t *testing.T) {
 	}
 }
 
-// TestMaskIsPerParty pins the graph encoding of masks: A transmits on a
+// TestMaskIsPerParty pins the per-listener mask lookup: A transmits on a
 // channel that only C masks, so B meets A every round while C never does.
 func TestMaskIsPerParty(t *testing.T) {
 	res, err := Run(&Config{

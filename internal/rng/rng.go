@@ -107,7 +107,13 @@ func (r *Rand) Bool() bool {
 }
 
 // Bernoulli returns true with probability p. Values of p <= 0 always return
-// false and values >= 1 always return true.
+// false and values >= 1 always return true, without drawing; NaN draws and
+// returns false.
+//
+// The draw is Float64() < p with both sides scaled by 2^53: the 53-bit
+// integer x stands for x/2^53, and p·2^53 is exact for every p in (0, 1),
+// subnormals included, so the comparison and the stream consumed are
+// identical to Float64() < p without the division.
 func (r *Rand) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
@@ -115,7 +121,7 @@ func (r *Rand) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.Float64() < p
+	return float64(int64(r.Uint64()>>11)) < p*(1<<53)
 }
 
 // Perm returns a uniformly random permutation of [0, n).
