@@ -117,9 +117,9 @@ func Run(cfg *Config) (*Result, error) {
 		}
 	}
 
+	res := medium.NewResolver(cfg.F, k+cfg.F, nil)
 	// Masks are flags over (party, channel) slots p·F+f−1: static from
 	// Party.Mask, dynamic from the MaskModel's deltas.
-	res := medium.NewResolver(cfg.F, k+cfg.F, nil)
 	static := make([]bool, k*cfg.F)
 	for p, pt := range cfg.Parties {
 		for _, f := range pt.Mask {
@@ -163,10 +163,8 @@ func Run(cfg *Config) (*Result, error) {
 	for g := uint64(1); g <= cfg.MaxRounds; g++ {
 		if cfg.Masks != nil && g >= 2 {
 			block, unblock := cfg.Masks.MaskDeltas(g)
-			if len(block)+len(unblock) > 0 {
-				if err := applyMaskDeltas(dynBlocked, block, unblock, k, cfg.F, g); err != nil {
-					return nil, err
-				}
+			if err := applyMaskDeltas(dynBlocked, block, unblock, k, cfg.F, g); err != nil {
+				return nil, err
 			}
 		}
 		act.Wake(g)

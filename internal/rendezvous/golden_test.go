@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wsync/internal/adversary"
@@ -64,7 +65,7 @@ var rendezvousGolden = []struct {
 		for p, a := range allowed {
 			var mask []int
 			for f := 1; f <= 8; f++ {
-				if !containsInt(a, f) {
+				if !slices.Contains(a, f) {
 					mask = append(mask, f)
 				}
 			}
@@ -213,15 +214,6 @@ func uniformParties(k, m int, p float64, wakeGap, head uint64) []rendezvous.Part
 		parties[i] = rendezvous.Party{Strategy: rendezvous.Uniform{M: m, P: p}, Wake: 1 + uint64(i)*wakeGap, Head: uint64(i) * head}
 	}
 	return parties
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }
 
 // script replays fixed per-round mask deltas: round -> {block, unblock}.
